@@ -6,8 +6,9 @@ and classical communication); the lower bound is the maximum matching size
 (each matched edge yields a Bell pair across a bipartition).  When the bounds
 meet, the entanglement is settled without any optimization.
 
-The matching count alone is used for the lower bound; this is known reliable
-for graphs up to 8 vertices, so outputs label the bound "matching".
+The matching count alone is used for the lower bound ("matching" in outputs).
+It is not valid for every graph: K_{3,3} (n = 6) is reported settled at
+E = 3, but the product state |+++---> reaches F = 1/4, so E <= 2.
 """
 
 from __future__ import annotations

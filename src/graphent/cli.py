@@ -200,19 +200,18 @@ def _cmd_compute(args) -> int:
     if fixed is not None:
         cfg = replace(cfg, fixed=fixed)
 
-    pres = None
-    if args.presample:
-        pres = presample(g, args.presample, seed=cfg.seed)
-
     if args.auto_fix:
         from .optimize import auto_fix_search
         result = auto_fix_search(g, cfg, threads=args.threads)
     else:
         result = optimize(g, cfg, threads=args.threads)
 
-    hits = sum(1 for r in result.records
-               if abs(r.entanglement - result.entanglement) <= cfg.success_tol)
-    success = hits / len(result.records)
+    pres = None
+    if args.presample:
+        pres = presample(g, args.presample, seed=cfg.seed)
+
+    success = result.hit_fraction(result.entanglement, cfg.success_tol)
+    hits = round(success * len(result.records))
     report = classify(g)
 
     payload = result.to_json_dict(g)
@@ -387,13 +386,11 @@ def _cmd_table(args) -> int:
         result = optimize(e.graph, cfg, threads=args.threads)
         expected = exact_value_eval(e.expected) if e.expected is not None else None
         ref = expected if expected is not None else result.entanglement
-        hits = sum(1 for r in result.records
-                   if abs(r.entanglement - ref) <= cfg.success_tol)
         rows.append({
             "id": e.id, "n": e.graph.n,
             "upper": report.upper, "lower": report.lower,
             "entanglement": result.entanglement,
-            "ps": hits / len(result.records),
+            "ps": result.hit_fraction(ref, cfg.success_tol),
             "expected": expected,
             "delta": abs(result.entanglement - expected)
             if expected is not None else None,

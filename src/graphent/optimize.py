@@ -16,9 +16,9 @@ possible pinnings (see :func:`auto_fix_search`).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +28,10 @@ from .states import (
     PAIR_ZERO,
     ProductState,
     QubitAmplitudePair,
+    _batch_overlaps,
+    _batch_partials,
+    _coordinate_sign_matrices,
+    _state_to_row,
     fidelity,
     fubini_study_distance,
     haar_random_pair,
@@ -52,6 +56,9 @@ DEGENERATE_EPS = 1e-300
 SNAP_MAX_DISTANCE = 0.05
 
 _ENGINE_BLOCK_ELEMS = 1 << 21
+# presample draws in chunks whose (chunk, 2**n) weight array has at most this
+# many elements, so its memory does not grow with the sample count.
+_PRESAMPLE_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,11 @@ class OptimizationResult:
     def stalled_count(self) -> int:
         return sum(1 for r in self.records if r.stalled)
 
+    def hit_fraction(self, E_ref: float, tol: float) -> float:
+        """Fraction of restarts whose final entanglement is within tol of E_ref."""
+        hits = sum(1 for r in self.records if abs(r.entanglement - E_ref) <= tol)
+        return hits / len(self.records)
+
     def to_json_dict(self, g: Graph | None = None) -> dict:
         d = {
             "entanglement": self.entanglement,
@@ -237,40 +249,6 @@ def measures_from_entanglement(E: float) -> dict:
 # ---------------------------------------------------------------------------
 # batched iteration engine
 
-@lru_cache(maxsize=64)
-def _coordinate_sign_matrices(g: Graph) -> tuple[np.ndarray, ...]:
-    """Per-coordinate (2**(n-1), 2) sign matrices, scaled by 2**(-n/2).
-
-    Row r of matrix j enumerates the basis assignments of the other qubits in
-    increasing qubit order (first remaining qubit most significant); column b
-    holds the graph-state sign with qubit j set to b.
-    """
-    from .states import phase_signs
-
-    tensor = phase_signs(g).reshape((2,) * g.n).astype(np.float64)
-    scale = 2.0 ** (-g.n / 2)
-    out = []
-    for j in range(g.n):
-        m = np.moveaxis(tensor, j, -1).reshape(-1, 2) * scale
-        m.setflags(write=False)
-        out.append(m)
-    return tuple(out)
-
-
-def _batch_partials(Q: np.ndarray, sign_mat: np.ndarray, j: int, n: int) -> np.ndarray:
-    """(R, 2) partial-overlap pairs for coordinate j of every restart row.
-
-    Uses explicit multiply-sum contractions (never BLAS matmul) so each row's
-    arithmetic is bit-identical regardless of how restarts are batched.
-    """
-    w = np.ones((Q.shape[0], 1), dtype=np.complex128)
-    for k in range(n):
-        if k == j:
-            continue
-        w = (w[:, :, None] * Q[:, k, None, :]).reshape(Q.shape[0], -1)
-    return (w[:, :, None] * sign_mat[None, :, :]).sum(axis=1)
-
-
 def _gauge_fix_rows(pairs: np.ndarray) -> np.ndarray:
     """Vectorized gauge fix: first amplitude real >= 0; (0, 1) when it vanishes."""
     x = pairs[:, 0]
@@ -284,30 +262,29 @@ def _gauge_fix_rows(pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_residuals(Q: np.ndarray, signs, free, n: int) -> np.ndarray:
+def _batch_residuals(Q: np.ndarray, signs, free) -> np.ndarray:
     """Max fixed-point residual |y* c0 - x* c1| over free coordinates, per row."""
     res = np.zeros(Q.shape[0])
     for j in free:
-        hg = _batch_partials(Q, signs[j], j, n)
+        hg = _batch_partials(Q, signs[j], j)
         r = np.abs(Q[:, j, 1].conj() * hg[:, 0] - Q[:, j, 0].conj() * hg[:, 1])
         res = np.maximum(res, r)
     return res
 
 
-def _batch_fidelity(Q: np.ndarray, signs, j0: int, n: int) -> np.ndarray:
-    hg = _batch_partials(Q, signs[j0], j0, n)
+def _batch_fidelity(Q: np.ndarray, signs, j0: int) -> np.ndarray:
+    hg = _batch_partials(Q, signs[j0], j0)
     f = Q[:, j0, 0] * hg[:, 0] + Q[:, j0, 1] * hg[:, 1]
     return f.real ** 2 + f.imag ** 2
 
 
 @dataclass
 class _BlockOutcome:
-    Q: np.ndarray
     converged: np.ndarray
     stalled: np.ndarray
     rounds: np.ndarray
     degenerate: np.ndarray
-    traces: list[list[float]] | None
+    trace: list[float] | None
 
 
 def _compute_update(hg: np.ndarray):
@@ -321,8 +298,11 @@ def _compute_update(hg: np.ndarray):
 
 def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int],
                    collect_trace: bool = False) -> _BlockOutcome:
-    """Run the fixed-point iteration on a block of restart rows, in place."""
-    n = g.n
+    """Run the fixed-point iteration on a block of restart rows, in place.
+
+    Each round updates only the rows still active.  ``collect_trace``
+    records the fidelity after every update of a one-row block.
+    """
     R = Q.shape[0]
     signs = _coordinate_sign_matrices(g)
     active = np.ones(R, dtype=bool)
@@ -331,62 +311,56 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     rounds_used = np.zeros(R, dtype=np.int64)
     degenerate = np.zeros(R, dtype=np.int64)
     plateau = np.zeros(R, dtype=np.int64)
-    traces: list[list[float]] | None = [[] for _ in range(R)] if collect_trace else None
+    trace: list[float] | None = [] if collect_trace else None
 
-    F_prev = _batch_fidelity(Q, signs, free[0], n)
+    F_prev = _batch_fidelity(Q, signs, free[0])
     best_seen = F_prev.copy()
 
-    def record(values):
-        for r in np.flatnonzero(active):
-            traces[r].append(float(values[r]))
-
     for _ in range(cfg.rounds):
-        if not active.any():
+        live = np.flatnonzero(active)
+        if not live.size:
             break
-        rounds_used[active] += 1
+        rounds_used[live] += 1
+        A = Q[live]
         if cfg.mode == "sequential":
-            F_cur = F_prev.copy()
+            F_round = F_prev[live]
             for j in free:
-                F_new, deg, pairs = _compute_update(
-                    _batch_partials(Q, signs[j], j, n))
-                upd = active & ~deg
-                Q[upd, j, :] = pairs[upd]
-                degenerate += active & deg
-                F_cur = np.where(upd, F_new, F_cur)
+                F_new, deg, pairs = _compute_update(_batch_partials(A, signs[j], j))
+                A[~deg, j, :] = pairs[~deg]
+                degenerate[live] += deg
+                F_round = np.where(deg, F_round, F_new)
                 if collect_trace:
-                    record(F_cur)
-            F_round = F_cur
+                    trace.extend(F_round.tolist())
         else:
-            staged = [(j, _compute_update(_batch_partials(Q, signs[j], j, n)))
+            staged = [(j, _compute_update(_batch_partials(A, signs[j], j)))
                       for j in free]
             for j, (_, deg, pairs) in staged:
-                upd = active & ~deg
-                Q[upd, j, :] = pairs[upd]
-                degenerate += active & deg
-            F_round = np.where(active, _batch_fidelity(Q, signs, free[0], n), F_prev)
+                A[~deg, j, :] = pairs[~deg]
+                degenerate[live] += deg
+            F_round = _batch_fidelity(A, signs, free[0])
             if collect_trace:
-                record(F_round)
+                trace.extend(F_round.tolist())
+        Q[live] = A
 
-        delta = np.abs(F_round - F_prev)
-        flat = np.flatnonzero(active & (delta < cfg.convergence_eps))
+        flat = np.flatnonzero(np.abs(F_round - F_prev[live]) < cfg.convergence_eps)
         if flat.size:
-            res = _batch_residuals(Q[flat], signs, free, n)
-            settled = flat[res <= CONVERGED_RESIDUAL]
+            res = _batch_residuals(A[flat], signs, free)
+            settled = live[flat[res <= CONVERGED_RESIDUAL]]
             converged[settled] = True
             active[settled] = False
 
-        improved = F_round > best_seen + STALL_IMPROVE_EPS
-        plateau = np.where(improved, 0, plateau + 1)
-        best_seen = np.maximum(best_seen, F_round)
-        candidates = np.flatnonzero(active & (plateau >= STALL_WINDOW))
+        improved = F_round > best_seen[live] + STALL_IMPROVE_EPS
+        plateau[live] = np.where(improved, 0, plateau[live] + 1)
+        best_seen[live] = np.maximum(best_seen[live], F_round)
+        candidates = live[active[live] & (plateau[live] >= STALL_WINDOW)]
         if candidates.size:
-            res = _batch_residuals(Q[candidates], signs, free, n)
+            res = _batch_residuals(Q[candidates], signs, free)
             bad = candidates[res > STALL_RESIDUAL]
             stalled[bad] = True
             active[bad] = False
-        F_prev = F_round
+        F_prev[live] = F_round
 
-    return _BlockOutcome(Q, converged, stalled, rounds_used, degenerate, traces)
+    return _BlockOutcome(converged, stalled, rounds_used, degenerate, trace)
 
 
 def _rows_to_state(Q: np.ndarray, r: int) -> ProductState:
@@ -394,10 +368,6 @@ def _rows_to_state(Q: np.ndarray, r: int) -> ProductState:
         QubitAmplitudePair(complex(Q[r, k, 0]), complex(Q[r, k, 1]))
         for k in range(Q.shape[1])
     ))
-
-
-def _state_to_row(p: ProductState) -> np.ndarray:
-    return np.array([[q.x, q.y] for q in p.qubits], dtype=np.complex128)
 
 
 def _free_coordinates(g: Graph, fixed: FixedCoordinateSpec | None) -> list[int]:
@@ -477,10 +447,10 @@ def run_restart(g: Graph, init: ProductState, cfg: OptimizerConfig) -> RestartRe
     init = ProductState(tuple(pairs))
     Q = _state_to_row(init)[None, :, :]
     out = _iterate_block(g, Q, cfg, free, collect_trace=True)
-    final_state = _rows_to_state(out.Q, 0)
+    final_state = _rows_to_state(Q, 0)
     return RestartRecord(
         init=init,
-        fidelity_trace=tuple(out.traces[0]),
+        fidelity_trace=tuple(out.trace),
         final_state=final_state,
         final_F=fidelity(g, final_state),
         converged=bool(out.converged[0]),
@@ -504,8 +474,12 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     stream ``(seed, restart_index)`` and per-restart arithmetic does not
     depend on batching, so the result is identical for any thread count.
     The winner is the maximum final fidelity, ties to the lowest index.
+    ``threads`` must be >= 1 and is clamped to the CPU count.
     """
     cfg = cfg or OptimizerConfig()
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = min(threads, os.cpu_count() or 1)
     free = _free_coordinates(g, cfg.fixed)
     block = _block_size(g.n, cfg.restarts, threads)
     starts = list(range(0, cfg.restarts, block))
@@ -518,7 +492,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
         out = _iterate_block(g, Q, cfg, free)
         summaries = []
         for i in range(count):
-            F = fidelity(g, _rows_to_state(out.Q, i))
+            F = fidelity(g, _rows_to_state(Q, i))
             summaries.append(RestartSummary(
                 index=start + i,
                 final_F=F,
@@ -527,16 +501,13 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
                 stalled=bool(out.stalled[i]),
                 rounds=int(out.rounds[i]),
             ))
-        return summaries, out.Q
+        return summaries, Q
 
-    results: list = [None] * len(starts)
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for pos, res in enumerate(pool.map(run_span, starts)):
-                results[pos] = res
+            results = list(pool.map(run_span, starts))
     else:
-        for pos, start in enumerate(starts):
-            results[pos] = run_span(start)
+        results = [run_span(start) for start in starts]
 
     records: list[RestartSummary] = []
     best = None
@@ -599,16 +570,13 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
     """
     if count < 1:
         raise ValueError(f"presample count must be >= 1, got {count}")
-    from .states import phase_signs
-
     n = g.n
-    signs = phase_signs(g).astype(np.float64) * 2.0 ** (-n / 2)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11)))
     bins = 50
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     min_F, max_F = math.inf, -math.inf
-    chunk = max(1, _ENGINE_BLOCK_ELEMS >> max(0, n - 1))
+    chunk = max(1, _PRESAMPLE_ELEMS >> n)
     remaining = count
     while remaining:
         m = min(chunk, remaining)
@@ -618,10 +586,7 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
         norms = np.sqrt((q.real ** 2 + q.imag ** 2).sum(axis=2, keepdims=True))
         degenerate = norms == 0.0
         q = np.where(degenerate, 1.0, q) / np.where(degenerate, 1.0, norms)
-        w = np.ones((m, 1), dtype=np.complex128)
-        for k in range(n):
-            w = (w[:, :, None] * q[:, k, None, :]).reshape(m, -1)
-        f = (w * signs[None, :]).sum(axis=1)
+        f = _batch_overlaps(g, q)
         F = f.real ** 2 + f.imag ** 2
         min_F = min(min_F, float(F.min()))
         max_F = max(max_F, float(F.max()))
@@ -643,9 +608,7 @@ def success_probability(g: Graph, E_ref: float, runs: int,
         raise ValueError(f"runs must be >= 1, got {runs}")
     cfg = cfg or OptimizerConfig()
     res = optimize(g, replace(cfg, restarts=runs), threads=threads)
-    hits = sum(1 for r in res.records
-               if abs(r.entanglement - E_ref) <= cfg.success_tol)
-    return hits / runs
+    return res.hit_fraction(E_ref, cfg.success_tol)
 
 
 def snap_to_exact(g: Graph, p: ProductState) -> SnapResult:

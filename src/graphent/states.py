@@ -65,9 +65,6 @@ class QubitAmplitudePair:
         phase = x.conjugate() / ax
         return cls(complex(ax, 0.0), y * phase)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=np.complex128)
-
     def to_json(self) -> list:
         return [[self.x.real, self.x.imag], [self.y.real, self.y.imag]]
 
@@ -210,19 +207,61 @@ def stabilizer_eigencheck(g: Graph, a: int, s: StateVector):
     return None
 
 
+@lru_cache(maxsize=64)
+def _coordinate_sign_matrices(g: Graph) -> tuple[np.ndarray, ...]:
+    """Per-coordinate (2**(n-1), 2) sign matrices, scaled by 2**(-n/2).
+
+    Row r of matrix j enumerates the basis assignments of the other qubits in
+    increasing qubit order (first remaining qubit most significant); column b
+    holds the graph-state sign with qubit j set to b.  The last matrix,
+    flattened, is the scaled sign vector in basis order.
+    """
+    tensor = phase_signs(g).reshape((2,) * g.n).astype(np.float64)
+    scale = 2.0 ** (-g.n / 2)
+    out = []
+    for j in range(g.n):
+        m = np.moveaxis(tensor, j, -1).reshape(-1, 2) * scale
+        m.setflags(write=False)
+        out.append(m)
+    return tuple(out)
+
+
+def _state_to_row(p: ProductState) -> np.ndarray:
+    """(n, 2) array of a product state's qubit pairs."""
+    return np.array([[q.x, q.y] for q in p.qubits], dtype=np.complex128)
+
+
+def _product_weights(Q: np.ndarray, skip: int | None = None) -> np.ndarray:
+    """(R, n, 2) qubit pairs -> (R, 2**m) product amplitudes, qubit 0 first.
+
+    ``skip`` leaves that qubit out (m = n - 1).  Uses explicit elementwise
+    products (never BLAS matmul) so each row's arithmetic is bit-identical
+    regardless of how rows are batched.
+    """
+    R = Q.shape[0]
+    w = np.ones((R, 1), dtype=np.complex128)
+    for k in range(Q.shape[1]):
+        if k != skip:
+            w = (w[:, :, None] * Q[:, k, None, :]).reshape(R, -1)
+    return w
+
+
+def _batch_partials(Q: np.ndarray, sign_mat: np.ndarray, j: int) -> np.ndarray:
+    """(R, 2) partial-overlap pairs of coordinate j for every row of Q, given
+    entry j of :func:`_coordinate_sign_matrices`."""
+    w = _product_weights(Q, skip=j)
+    return (w[:, :, None] * sign_mat[None, :, :]).sum(axis=1)
+
+
+def _batch_overlaps(g: Graph, Q: np.ndarray) -> np.ndarray:
+    """(R,) overlaps <G|phi> of every row of Q, by plain summation."""
+    signs = _coordinate_sign_matrices(g)[-1].reshape(-1)
+    return (_product_weights(Q) * signs[None, :]).sum(axis=1)
+
+
 def product_state_vector(p: ProductState) -> StateVector:
     """Assemble the 2**n amplitudes of a product state (qubit 0 first)."""
-    amps = np.ones(1, dtype=np.complex128)
-    for q in p.qubits:
-        amps = np.kron(amps, q.as_array())
-    return StateVector(p.n, amps)
-
-
-def _product_amplitudes(pairs) -> np.ndarray:
-    amps = np.ones(1, dtype=np.complex128)
-    for q in pairs:
-        amps = np.kron(amps, q.as_array())
-    return amps
+    return StateVector(p.n, _product_weights(_state_to_row(p)[None])[0])
 
 
 def _fsum_complex(values: np.ndarray) -> complex:
@@ -233,7 +272,7 @@ def overlap(g: Graph, p: ProductState) -> complex:
     """<G|phi>: signed sum of product amplitudes, error-free accumulation."""
     if p.n != g.n:
         raise ValueError(f"product state has {p.n} qubits, graph has {g.n}")
-    terms = phase_signs(g) * _product_amplitudes(p.qubits)
+    terms = phase_signs(g) * _product_weights(_state_to_row(p)[None])[0]
     return _fsum_complex(terms) * 2.0 ** (-g.n / 2)
 
 
@@ -252,10 +291,9 @@ def partial_overlaps(g: Graph, p: ProductState, j: int) -> tuple[complex, comple
         raise ValueError(f"product state has {p.n} qubits, graph has {g.n}")
     if not (0 <= j < g.n):
         raise ValueError(f"qubit {j} out of range for n={g.n}")
-    others = _product_amplitudes(q for k, q in enumerate(p.qubits) if k != j)
-    split = np.moveaxis(
-        phase_signs(g).reshape((2,) * g.n), j, -1
-    ).reshape(-1, 2)
+    others = _product_weights(_state_to_row(p)[None], skip=j)[0]
+    # Bare signs: the scale is applied once, after the error-free sum.
+    split = np.sign(_coordinate_sign_matrices(g)[j])
     scale = 2.0 ** (-g.n / 2)
     c0 = _fsum_complex(split[:, 0] * others) * scale
     c1 = _fsum_complex(split[:, 1] * others) * scale

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from graphent import cli
 from graphent.cli import main
 
 
@@ -98,6 +101,25 @@ class TestCompute:
         _, out1, _ = run_cli(capsys, *base, "--threads", "1")
         _, out2, _ = run_cli(capsys, *base, "--threads", "3")
         assert out1 == out2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_usage_error(self, capsys, monkeypatch, threads):
+        # refused before any work starts, presample included
+        monkeypatch.setattr(cli, "presample", None)
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "star:3", "--restarts", "4",
+            "--presample", "10", "--threads", threads)
+        assert code == 2 and out == ""
+        assert "threads must be >= 1" in err
+
+    def test_huge_threads_clamped(self, capsys):
+        # 4 restarts make at most 4 blocks, so a missing clamp cannot start
+        # many threads here; the output must match a single thread's
+        base = ("compute", "--family", "cycle:5", "--restarts", "4",
+                "--seed", "4", "--format", "json")
+        _, out1, _ = run_cli(capsys, *base, "--threads", "1")
+        code, out2, _ = run_cli(capsys, *base, "--threads", "1000000")
+        assert code == 0 and out1 == out2
 
     def test_two_sources_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -27,8 +27,13 @@ from graphent import (
     success_probability,
 )
 from graphent.catalog import PAIR_PHI
-from graphent.optimize import _batch_partials, _coordinate_sign_matrices
-from graphent.states import PAIR_MINUS, PAIR_PLUS, PAIR_ZERO
+from graphent.states import (
+    PAIR_MINUS,
+    PAIR_PLUS,
+    PAIR_ZERO,
+    _batch_partials,
+    _coordinate_sign_matrices,
+)
 from helpers import grid_oracle_max_fidelity, random_graph
 
 E_RING5 = 1 + math.log2(3) + math.log2(3 - math.sqrt(3))
@@ -98,7 +103,7 @@ class TestCoordinateUpdate:
             j = int(rng.integers(0, g.n))
             signs = _coordinate_sign_matrices(g)
             row = np.array([[q.x, q.y] for q in p.qubits])[None, :, :]
-            hg = _batch_partials(row, signs[j], j, g.n)
+            hg = _batch_partials(row, signs[j], j)
             c0, c1 = partial_overlaps(g, p, j)
             assert abs(hg[0, 0] - c0) <= 1e-12
             assert abs(hg[0, 1] - c1) <= 1e-12
