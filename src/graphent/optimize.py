@@ -31,6 +31,7 @@ from .states import (
     _batch_overlaps,
     _batch_partials,
     _coordinate_sign_matrices,
+    _kernel_workspace,
     _state_to_row,
     fidelity,
     fubini_study_distance,
@@ -262,18 +263,18 @@ def _gauge_fix_rows(pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_residuals(Q: np.ndarray, signs, free) -> np.ndarray:
+def _batch_residuals(Q: np.ndarray, signs, free, work) -> np.ndarray:
     """Max fixed-point residual |y* c0 - x* c1| over free coordinates, per row."""
     res = np.zeros(Q.shape[0])
     for j in free:
-        hg = _batch_partials(Q, signs[j], j)
+        hg = _batch_partials(Q, signs[j], j, work)
         r = np.abs(Q[:, j, 1].conj() * hg[:, 0] - Q[:, j, 0].conj() * hg[:, 1])
         res = np.maximum(res, r)
     return res
 
 
-def _batch_fidelity(Q: np.ndarray, signs, j0: int) -> np.ndarray:
-    hg = _batch_partials(Q, signs[j0], j0)
+def _batch_fidelity(Q: np.ndarray, signs, j0: int, work) -> np.ndarray:
+    hg = _batch_partials(Q, signs[j0], j0, work)
     f = Q[:, j0, 0] * hg[:, 0] + Q[:, j0, 1] * hg[:, 1]
     return f.real ** 2 + f.imag ** 2
 
@@ -305,6 +306,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     """
     R = Q.shape[0]
     signs = _coordinate_sign_matrices(g)
+    work = _kernel_workspace(R, g.n - 1)
     active = np.ones(R, dtype=bool)
     converged = np.zeros(R, dtype=bool)
     stalled = np.zeros(R, dtype=bool)
@@ -313,7 +315,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     plateau = np.zeros(R, dtype=np.int64)
     trace: list[float] | None = [] if collect_trace else None
 
-    F_prev = _batch_fidelity(Q, signs, free[0])
+    F_prev = _batch_fidelity(Q, signs, free[0], work)
     best_seen = F_prev.copy()
 
     for _ in range(cfg.rounds):
@@ -325,26 +327,26 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
         if cfg.mode == "sequential":
             F_round = F_prev[live]
             for j in free:
-                F_new, deg, pairs = _compute_update(_batch_partials(A, signs[j], j))
+                F_new, deg, pairs = _compute_update(_batch_partials(A, signs[j], j, work))
                 A[~deg, j, :] = pairs[~deg]
                 degenerate[live] += deg
                 F_round = np.where(deg, F_round, F_new)
                 if collect_trace:
                     trace.extend(F_round.tolist())
         else:
-            staged = [(j, _compute_update(_batch_partials(A, signs[j], j)))
+            staged = [(j, _compute_update(_batch_partials(A, signs[j], j, work)))
                       for j in free]
             for j, (_, deg, pairs) in staged:
                 A[~deg, j, :] = pairs[~deg]
                 degenerate[live] += deg
-            F_round = _batch_fidelity(A, signs, free[0])
+            F_round = _batch_fidelity(A, signs, free[0], work)
             if collect_trace:
                 trace.extend(F_round.tolist())
         Q[live] = A
 
         flat = np.flatnonzero(np.abs(F_round - F_prev[live]) < cfg.convergence_eps)
         if flat.size:
-            res = _batch_residuals(A[flat], signs, free)
+            res = _batch_residuals(A[flat], signs, free, work)
             settled = live[flat[res <= CONVERGED_RESIDUAL]]
             converged[settled] = True
             active[settled] = False
@@ -354,7 +356,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
         best_seen[live] = np.maximum(best_seen[live], F_round)
         candidates = live[active[live] & (plateau[live] >= STALL_WINDOW)]
         if candidates.size:
-            res = _batch_residuals(Q[candidates], signs, free)
+            res = _batch_residuals(Q[candidates], signs, free, work)
             bad = candidates[res > STALL_RESIDUAL]
             stalled[bad] = True
             active[bad] = False
@@ -577,6 +579,7 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
     counts = np.zeros(bins, dtype=np.int64)
     min_F, max_F = math.inf, -math.inf
     chunk = max(1, _PRESAMPLE_ELEMS >> n)
+    work = _kernel_workspace(chunk, n)
     remaining = count
     while remaining:
         m = min(chunk, remaining)
@@ -586,7 +589,7 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
         norms = np.sqrt((q.real ** 2 + q.imag ** 2).sum(axis=2, keepdims=True))
         degenerate = norms == 0.0
         q = np.where(degenerate, 1.0, q) / np.where(degenerate, 1.0, norms)
-        f = _batch_overlaps(g, q)
+        f = _batch_overlaps(g, q, work)
         F = f.real ** 2 + f.imag ** 2
         min_F = min(min_F, float(F.min()))
         max_F = max(max_F, float(F.max()))

@@ -231,32 +231,51 @@ def _state_to_row(p: ProductState) -> np.ndarray:
     return np.array([[q.x, q.y] for q in p.qubits], dtype=np.complex128)
 
 
-def _product_weights(Q: np.ndarray, skip: int | None = None) -> np.ndarray:
+def _kernel_workspace(R: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for up to R rows of m-qubit weights: the expansion ends in the
+    first, (R * 2**m,); its earlier steps and the signed terms use the second.
+    The engine reuses one per block: fresh arrays that shrank with the live
+    rows made the allocator return pages and fault them in again."""
+    return np.empty(R << m, dtype=np.complex128), np.empty(2 * R << m, dtype=np.complex128)
+
+
+def _product_weights(Q: np.ndarray, skip: int | None = None, work=None) -> np.ndarray:
     """(R, n, 2) qubit pairs -> (R, 2**m) product amplitudes, qubit 0 first.
 
     ``skip`` leaves that qubit out (m = n - 1).  Uses explicit elementwise
     products (never BLAS matmul) so each row's arithmetic is bit-identical
-    regardless of how rows are batched.
+    regardless of how rows are batched.  The result is a view into ``work``.
     """
     R = Q.shape[0]
+    kept = [k for k in range(Q.shape[1]) if k != skip]
+    work = work or _kernel_workspace(R, len(kept))
     w = np.ones((R, 1), dtype=np.complex128)
-    for k in range(Q.shape[1]):
-        if k != skip:
-            w = (w[:, :, None] * Q[:, k, None, :]).reshape(R, -1)
+    for i, k in enumerate(kept):
+        out = work[(len(kept) - 1 - i) % 2][:2 * w.size].reshape(R, -1, 2)
+        w = np.multiply(w[:, :, None], Q[:, k, None, :], out=out).reshape(R, -1)
     return w
 
 
-def _batch_partials(Q: np.ndarray, sign_mat: np.ndarray, j: int) -> np.ndarray:
+def _batch_partials(Q: np.ndarray, sign_mat: np.ndarray, j: int, work=None) -> np.ndarray:
     """(R, 2) partial-overlap pairs of coordinate j for every row of Q, given
     entry j of :func:`_coordinate_sign_matrices`."""
-    w = _product_weights(Q, skip=j)
-    return (w[:, :, None] * sign_mat[None, :, :]).sum(axis=1)
+    work = work or _kernel_workspace(Q.shape[0], Q.shape[1] - 1)
+    w = _product_weights(Q, skip=j, work=work)
+    # The sum rounds in the memory order of the terms, which a fresh product
+    # takes from sign_mat (column-major for j = 0): lay them out the same way.
+    terms = work[1][:2 * w.size]
+    if sign_mat.flags.c_contiguous:
+        terms = terms.reshape(*w.shape, 2)
+    else:
+        terms = terms.reshape(w.shape[0], 2, -1).transpose(0, 2, 1)
+    return np.multiply(w[:, :, None], sign_mat[None, :, :], out=terms).sum(axis=1)
 
 
-def _batch_overlaps(g: Graph, Q: np.ndarray) -> np.ndarray:
+def _batch_overlaps(g: Graph, Q: np.ndarray, work) -> np.ndarray:
     """(R,) overlaps <G|phi> of every row of Q, by plain summation."""
     signs = _coordinate_sign_matrices(g)[-1].reshape(-1)
-    return (_product_weights(Q) * signs[None, :]).sum(axis=1)
+    w = _product_weights(Q, work=work)
+    return np.multiply(w, signs[None, :], out=work[1][:w.size].reshape(w.shape)).sum(axis=1)
 
 
 def product_state_vector(p: ProductState) -> StateVector:

@@ -33,6 +33,8 @@ from graphent.states import (
     PAIR_ZERO,
     _batch_partials,
     _coordinate_sign_matrices,
+    _kernel_workspace,
+    _product_weights,
 )
 from helpers import grid_oracle_max_fidelity, random_graph
 
@@ -107,6 +109,22 @@ class TestCoordinateUpdate:
             c0, c1 = partial_overlaps(g, p, j)
             assert abs(hg[0, 0] - c0) <= 1e-12
             assert abs(hg[0, 1] - c1) <= 1e-12
+
+    def test_shared_workspace_is_bit_identical(self, rng):
+        # a block reuses one workspace for fewer rows than it holds; the sum
+        # must round as the plain product's does, whose memory order follows
+        # the sign matrix (column-major for j = 0; it matters for n >= 9)
+        for n in (3, 6, 9, 12):
+            g = random_graph(rng, n=n)
+            signs = _coordinate_sign_matrices(g)
+            work = _kernel_workspace(9, g.n - 1)
+            for rows in (9, 4, 1):
+                Q = rng.normal(size=(rows, g.n, 2)) + 1j * rng.normal(size=(rows, g.n, 2))
+                for j in range(g.n):
+                    w = _product_weights(Q, skip=j)
+                    plain = (w[:, :, None] * signs[j][None, :, :]).sum(axis=1)
+                    assert np.array_equal(_batch_partials(Q, signs[j], j, work), plain)
+                    assert np.array_equal(_batch_partials(Q, signs[j], j), plain)
 
 
 class TestRunRestart:
