@@ -30,8 +30,8 @@ from .states import (
     QubitAmplitudePair,
     _batch_overlaps,
     _batch_partials,
-    _coordinate_sign_matrices,
     _kernel_workspace,
+    _scaled_signs,
     _state_to_row,
     fidelity,
     fubini_study_distance,
@@ -267,14 +267,14 @@ def _batch_residuals(Q: np.ndarray, signs, free, work) -> np.ndarray:
     """Max fixed-point residual |y* c0 - x* c1| over free coordinates, per row."""
     res = np.zeros(Q.shape[0])
     for j in free:
-        hg = _batch_partials(Q, signs[j], j, work)
+        hg = _batch_partials(Q, signs, j, work)
         r = np.abs(Q[:, j, 1].conj() * hg[:, 0] - Q[:, j, 0].conj() * hg[:, 1])
         res = np.maximum(res, r)
     return res
 
 
 def _batch_fidelity(Q: np.ndarray, signs, j0: int, work) -> np.ndarray:
-    hg = _batch_partials(Q, signs[j0], j0, work)
+    hg = _batch_partials(Q, signs, j0, work)
     f = Q[:, j0, 0] * hg[:, 0] + Q[:, j0, 1] * hg[:, 1]
     return f.real ** 2 + f.imag ** 2
 
@@ -305,7 +305,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     records the fidelity after every update of a one-row block.
     """
     R = Q.shape[0]
-    signs = _coordinate_sign_matrices(g)
+    signs = _scaled_signs(g)
     work = _kernel_workspace(R, g.n - 1)
     active = np.ones(R, dtype=bool)
     converged = np.zeros(R, dtype=bool)
@@ -327,14 +327,14 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
         if cfg.mode == "sequential":
             F_round = F_prev[live]
             for j in free:
-                F_new, deg, pairs = _compute_update(_batch_partials(A, signs[j], j, work))
+                F_new, deg, pairs = _compute_update(_batch_partials(A, signs, j, work))
                 A[~deg, j, :] = pairs[~deg]
                 degenerate[live] += deg
                 F_round = np.where(deg, F_round, F_new)
                 if collect_trace:
                     trace.extend(F_round.tolist())
         else:
-            staged = [(j, _compute_update(_batch_partials(A, signs[j], j, work)))
+            staged = [(j, _compute_update(_batch_partials(A, signs, j, work)))
                       for j in free]
             for j, (_, deg, pairs) in staged:
                 A[~deg, j, :] = pairs[~deg]
@@ -520,6 +520,9 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
             if best is None or s.final_F > best.final_F:
                 best = s
                 best_state = _rows_to_state(Qfinal, i)
+    if best.final_F <= 0.0:
+        raise ValueError("every restart ended at F = 0: the pinned qubits make "
+                         "the product state orthogonal to the graph state")
     E = max(0.0, entanglement_from_fidelity(best.final_F))
     return OptimizationResult(
         best_F=best.final_F,
@@ -550,6 +553,9 @@ def auto_fix_search(g: Graph, cfg: OptimizerConfig | None = None,
     unconstrained run first).
     """
     cfg = cfg or OptimizerConfig()
+    if cfg.fixed is not None:
+        raise ValueError("auto-fix chooses its own pinnings and cannot be "
+                         "combined with fixed coordinates")
     candidates: list[FixedCoordinateSpec | None] = [None]
     if g.n >= 2:
         candidates += [FixedCoordinateSpec.zeros([j]) for j in range(g.n)]
@@ -579,6 +585,7 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
     counts = np.zeros(bins, dtype=np.int64)
     min_F, max_F = math.inf, -math.inf
     chunk = max(1, _PRESAMPLE_ELEMS >> n)
+    signs = _scaled_signs(g)
     work = _kernel_workspace(chunk, n)
     remaining = count
     while remaining:
@@ -589,7 +596,7 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
         norms = np.sqrt((q.real ** 2 + q.imag ** 2).sum(axis=2, keepdims=True))
         degenerate = norms == 0.0
         q = np.where(degenerate, 1.0, q) / np.where(degenerate, 1.0, norms)
-        f = _batch_overlaps(g, q, work)
+        f = _batch_overlaps(signs, q, work)
         F = f.real ** 2 + f.imag ** 2
         min_F = min(min_F, float(F.min()))
         max_F = max(max_F, float(F.max()))

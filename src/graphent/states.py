@@ -167,10 +167,14 @@ def phase_signs(g: Graph) -> np.ndarray:
     return signs
 
 
+def _scaled_signs(g: Graph) -> np.ndarray:
+    """The graph state's real amplitudes 2**(-n/2) * (-1)**e(mu), as float64."""
+    return phase_signs(g) * 2.0 ** (-g.n / 2)
+
+
 def graph_state_vector(g: Graph) -> StateVector:
     """Graph state amplitudes 2**(-n/2) * (-1)**e(mu)."""
-    scale = 2.0 ** (-g.n / 2)
-    return StateVector(g.n, phase_signs(g).astype(np.complex128) * scale)
+    return StateVector(g.n, _scaled_signs(g))
 
 
 def graph_basis_state(g: Graph, k) -> StateVector:
@@ -207,25 +211,6 @@ def stabilizer_eigencheck(g: Graph, a: int, s: StateVector):
     return None
 
 
-@lru_cache(maxsize=64)
-def _coordinate_sign_matrices(g: Graph) -> tuple[np.ndarray, ...]:
-    """Per-coordinate (2**(n-1), 2) sign matrices, scaled by 2**(-n/2).
-
-    Row r of matrix j enumerates the basis assignments of the other qubits in
-    increasing qubit order (first remaining qubit most significant); column b
-    holds the graph-state sign with qubit j set to b.  The last matrix,
-    flattened, is the scaled sign vector in basis order.
-    """
-    tensor = phase_signs(g).reshape((2,) * g.n).astype(np.float64)
-    scale = 2.0 ** (-g.n / 2)
-    out = []
-    for j in range(g.n):
-        m = np.moveaxis(tensor, j, -1).reshape(-1, 2) * scale
-        m.setflags(write=False)
-        out.append(m)
-    return tuple(out)
-
-
 def _state_to_row(p: ProductState) -> np.ndarray:
     """(n, 2) array of a product state's qubit pairs."""
     return np.array([[q.x, q.y] for q in p.qubits], dtype=np.complex128)
@@ -256,24 +241,28 @@ def _product_weights(Q: np.ndarray, skip: int | None = None, work=None) -> np.nd
     return w
 
 
-def _batch_partials(Q: np.ndarray, sign_mat: np.ndarray, j: int, work=None) -> np.ndarray:
+def _batch_partials(Q: np.ndarray, signs: np.ndarray, j: int, work=None) -> np.ndarray:
     """(R, 2) partial-overlap pairs of coordinate j for every row of Q, given
-    entry j of :func:`_coordinate_sign_matrices`."""
+    the :func:`_scaled_signs` vector."""
     work = work or _kernel_workspace(Q.shape[0], Q.shape[1] - 1)
+    s = signs.reshape(1 << j, 2, -1)  # (qubits before j, qubit j, qubits after j)
     w = _product_weights(Q, skip=j, work=work)
-    # The sum rounds in the memory order of the terms, which a fresh product
-    # takes from sign_mat (column-major for j = 0): lay them out the same way.
+    w = w.reshape(w.shape[0], *s[:, 0].shape)
+    # The sum rounds in the memory order of the terms, so that order is fixed:
+    # qubit j's axis is outermost for j = 0 and innermost otherwise.
     terms = work[1][:2 * w.size]
-    if sign_mat.flags.c_contiguous:
-        terms = terms.reshape(*w.shape, 2)
-    else:
+    if j == 0:
         terms = terms.reshape(w.shape[0], 2, -1).transpose(0, 2, 1)
-    return np.multiply(w[:, :, None], sign_mat[None, :, :], out=terms).sum(axis=1)
+    else:
+        terms = terms.reshape(w.shape[0], -1, 2)
+    for b in (0, 1):
+        np.multiply(w, s[:, b], out=terms.reshape(*w.shape, 2)[..., b])
+    return terms.sum(axis=1)
 
 
-def _batch_overlaps(g: Graph, Q: np.ndarray, work) -> np.ndarray:
-    """(R,) overlaps <G|phi> of every row of Q, by plain summation."""
-    signs = _coordinate_sign_matrices(g)[-1].reshape(-1)
+def _batch_overlaps(signs: np.ndarray, Q: np.ndarray, work) -> np.ndarray:
+    """(R,) overlaps <G|phi> of every row of Q, by plain summation, given the
+    :func:`_scaled_signs` vector."""
     w = _product_weights(Q, work=work)
     return np.multiply(w, signs[None, :], out=work[1][:w.size].reshape(w.shape)).sum(axis=1)
 
@@ -312,10 +301,10 @@ def partial_overlaps(g: Graph, p: ProductState, j: int) -> tuple[complex, comple
         raise ValueError(f"qubit {j} out of range for n={g.n}")
     others = _product_weights(_state_to_row(p)[None], skip=j)[0]
     # Bare signs: the scale is applied once, after the error-free sum.
-    split = np.sign(_coordinate_sign_matrices(g)[j])
+    split = phase_signs(g).reshape(1 << j, 2, -1)
     scale = 2.0 ** (-g.n / 2)
-    c0 = _fsum_complex(split[:, 0] * others) * scale
-    c1 = _fsum_complex(split[:, 1] * others) * scale
+    c0 = _fsum_complex(split[:, 0].reshape(-1) * others) * scale
+    c1 = _fsum_complex(split[:, 1].reshape(-1) * others) * scale
     return c0, c1
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -126,6 +127,24 @@ class TestCompute:
             capsys, "compute", "--family", "cycle:4", "--graph6", "A_")
         assert code == 2
         assert "exactly one graph source" in err
+
+    def test_auto_fix_with_fix_usage_error(self, capsys, monkeypatch):
+        # --auto-fix picks its own pinnings; a --fix beside it is refused
+        # before any search instead of being dropped
+        monkeypatch.setattr(sys.modules["graphent.optimize"], "optimize", None)
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "cycle:5", "--auto-fix",
+            "--fix", "0=|1>", "--restarts", "4", "--rounds", "10")
+        assert code == 2 and out == ""
+        assert "cannot be combined with fixed coordinates" in err
+
+    def test_orthogonal_pin_usage_error(self, capsys):
+        # |-> on a vertex of the empty graph state |++> leaves F = 0 everywhere
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "empty:2", "--fix", "0=|->",
+            "--restarts", "3")
+        assert code == 2 and out == ""
+        assert "every restart ended at F = 0" in err
 
     def test_bad_fix_value(self, capsys):
         code, _, err = run_cli(

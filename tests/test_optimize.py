@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,9 +33,9 @@ from graphent.states import (
     PAIR_PLUS,
     PAIR_ZERO,
     _batch_partials,
-    _coordinate_sign_matrices,
     _kernel_workspace,
     _product_weights,
+    _scaled_signs,
 )
 from helpers import grid_oracle_max_fidelity, random_graph
 
@@ -103,28 +104,46 @@ class TestCoordinateUpdate:
             g = random_graph(rng)
             p = random_product_state(g.n, rng)
             j = int(rng.integers(0, g.n))
-            signs = _coordinate_sign_matrices(g)
             row = np.array([[q.x, q.y] for q in p.qubits])[None, :, :]
-            hg = _batch_partials(row, signs[j], j)
+            hg = _batch_partials(row, _scaled_signs(g), j)
             c0, c1 = partial_overlaps(g, p, j)
             assert abs(hg[0, 0] - c0) <= 1e-12
             assert abs(hg[0, 1] - c1) <= 1e-12
 
     def test_shared_workspace_is_bit_identical(self, rng):
-        # a block reuses one workspace for fewer rows than it holds; the sum
-        # must round as the plain product's does, whose memory order follows
-        # the sign matrix (column-major for j = 0; it matters for n >= 9)
-        for n in (3, 6, 9, 12):
+        # the kernel reads coordinate j from a view of the sign vector; it must
+        # equal, bit for bit, the plain product and sum over the explicit
+        # (2**(n-1), 2) matrix of coordinate j (rows: the other qubits in
+        # order; column-major for j = 0, which matters for n >= 9), with a
+        # shared workspace holding more rows than used or a fresh one
+        for n in (1, 2, 3, 6, 9, 12, 16):
             g = random_graph(rng, n=n)
-            signs = _coordinate_sign_matrices(g)
+            signs = _scaled_signs(g)
             work = _kernel_workspace(9, g.n - 1)
             for rows in (9, 4, 1):
                 Q = rng.normal(size=(rows, g.n, 2)) + 1j * rng.normal(size=(rows, g.n, 2))
                 for j in range(g.n):
+                    mat = np.moveaxis(signs.reshape((2,) * n), j, -1).reshape(-1, 2)
                     w = _product_weights(Q, skip=j)
-                    plain = (w[:, :, None] * signs[j][None, :, :]).sum(axis=1)
-                    assert np.array_equal(_batch_partials(Q, signs[j], j, work), plain)
-                    assert np.array_equal(_batch_partials(Q, signs[j], j), plain)
+                    plain = (w[:, :, None] * mat[None, :, :]).sum(axis=1)
+                    assert np.array_equal(_batch_partials(Q, signs, j, work), plain)
+                    assert np.array_equal(_batch_partials(Q, signs, j), plain)
+
+    def test_public_partials_match_explicit_matrix(self, rng):
+        # partial_overlaps takes its +-1 split from a view of phase_signs; it
+        # must equal the fsum over the signs of coordinate j's explicit matrix
+        for n in (1, 2, 3, 6, 9, 12, 16):
+            g = random_graph(rng, n=n)
+            p = random_product_state(n, rng)
+            scale = 2.0 ** (-n / 2)
+            tensor = _scaled_signs(g).reshape((2,) * n)
+            row = np.array([[q.x, q.y] for q in p.qubits])[None]
+            for j in range(n):
+                split = np.sign(np.moveaxis(tensor, j, -1).reshape(-1, 2))
+                others = _product_weights(row, skip=j)[0]
+                expect = tuple(complex(math.fsum(t.real), math.fsum(t.imag)) * scale
+                               for t in (split[:, 0] * others, split[:, 1] * others))
+                assert partial_overlaps(g, p, j) == expect
 
 
 class TestRunRestart:
@@ -262,6 +281,13 @@ class TestFixedCoordinates:
             optimize_with_fixed(K2, FixedCoordinateSpec.zeros([0, 1]),
                                 small_cfg(restarts=2))
 
+    def test_orthogonal_pin_rejected(self):
+        # |-> on a vertex of the empty graph state |++> leaves F = 0 for every
+        # restart; the error must say so, not complain about log2(0)
+        spec = FixedCoordinateSpec(((0, PAIR_MINUS),))
+        with pytest.raises(ValueError, match="every restart ended at F = 0"):
+            optimize_with_fixed(builtin_family("empty", 2), spec, small_cfg(restarts=3))
+
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(ValueError):
             FixedCoordinateSpec.zeros([1, 1])
@@ -275,6 +301,13 @@ class TestFixedCoordinates:
 
 
 class TestAutoFixSearch:
+    def test_rejects_fixed_coordinates(self, monkeypatch):
+        # refused before any search, instead of the pinning being dropped
+        monkeypatch.setattr(sys.modules["graphent.optimize"], "optimize", None)
+        cfg = small_cfg(fixed=FixedCoordinateSpec.zeros([0]))
+        with pytest.raises(ValueError, match="cannot be combined"):
+            auto_fix_search(builtin_family("cycle", 5), cfg)
+
     def test_k2(self):
         res = auto_fix_search(K2, small_cfg(restarts=20, mode="per-round"))
         assert abs(res.best_F - 0.5) <= 1e-15
