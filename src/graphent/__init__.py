@@ -50,13 +50,11 @@ from .optimize import (
     RestartRecord,
     RestartSummary,
     SnapResult,
-    auto_fix_search,
     coordinate_update,
     entanglement_from_fidelity,
     initial_state_for_restart,
     measures_from_entanglement,
     optimize,
-    optimize_with_fixed,
     orthogonality_residual,
     presample,
     run_restart,

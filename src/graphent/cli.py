@@ -20,6 +20,7 @@ from .bounds import classify
 from .catalog import builtin_family, exact_value_eval, load_catalog, load_seed_catalog
 from .graphs import CapabilityError, Graph, encode_graph6, lc_orbit, parse_edge_list, parse_graph6
 from .optimize import (
+    FIX_VALUES,
     FixedCoordinateSpec,
     OptimizerConfig,
     initial_state_for_restart,
@@ -28,15 +29,7 @@ from .optimize import (
     run_restart,
     snap_to_exact,
 )
-from .states import PAIR_MINUS, PAIR_ONE, PAIR_PLUS, PAIR_ZERO, ProductState
-
-_FIX_VALUES = {
-    "|0>": PAIR_ZERO,
-    "|1>": PAIR_ONE,
-    "|+>": PAIR_PLUS,
-    "|->": PAIR_MINUS,
-    "random": None,
-}
+from .states import ProductState
 
 
 def _default_seed() -> int:
@@ -82,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_optimizer_args(p)
     p.add_argument("--fix", action="append", default=[], metavar="J=VAL",
                    help="pin qubit J to |0>, |1>, |+>, |-> or random; repeatable")
-    p.add_argument("--auto-fix", action="store_true",
-                   help="search over all single and pair |0> pinnings")
     p.add_argument("--presample", type=int, default=0, metavar="N",
                    help="evaluate N random states first and report the range")
     p.add_argument("--snap", action="store_true",
@@ -167,11 +158,11 @@ def _parse_fix(specs) -> FixedCoordinateSpec | None:
     entries = []
     for spec in specs:
         vertex, _, value = spec.partition("=")
-        if value not in _FIX_VALUES:
+        if value not in FIX_VALUES:
             raise ValueError(
-                f"bad --fix value {value!r}; choose from {sorted(_FIX_VALUES)}"
+                f"bad --fix value {value!r}; choose from {sorted(FIX_VALUES)}"
             )
-        entries.append((int(vertex), _FIX_VALUES[value]))
+        entries.append((int(vertex), FIX_VALUES[value]))
     return FixedCoordinateSpec(tuple(entries))
 
 
@@ -199,12 +190,10 @@ def _cmd_compute(args) -> int:
     fixed = _parse_fix(args.fix)
     if fixed is not None:
         cfg = replace(cfg, fixed=fixed)
+    if args.presample < 0:
+        raise ValueError(f"--presample must be >= 0, got {args.presample}")
 
-    if args.auto_fix:
-        from .optimize import auto_fix_search
-        result = auto_fix_search(g, cfg, threads=args.threads)
-    else:
-        result = optimize(g, cfg, threads=args.threads)
+    result = optimize(g, cfg, threads=args.threads)
 
     pres = None
     if args.presample:

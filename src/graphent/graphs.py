@@ -78,10 +78,6 @@ class Graph:
                 if bool(self.rows[v] & (1 << w)) != bool(self.rows[w] & (1 << v)):
                     raise ValueError(f"adjacency not symmetric at ({w},{v})")
 
-    def neighbors(self, v: int) -> int:
-        """Neighbourhood of ``v`` as a bitmask."""
-        return self.rows[v]
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -338,8 +334,10 @@ def lc_orbit(g: Graph, max_graphs: int = LC_ORBIT_DEFAULT_CAP) -> set[Graph]:
 
     BFS closure under complementing at every vertex.  Raises
     :class:`CapabilityError` (reporting the partial count) if the orbit
-    exceeds ``max_graphs``.
+    exceeds ``max_graphs``, and ``ValueError`` if ``max_graphs < 1``.
     """
+    if max_graphs < 1:
+        raise ValueError(f"max_graphs must be >= 1, got {max_graphs}")
     if g.n > LC_ORBIT_MAX_VERTICES:
         raise CapabilityError(
             f"orbit enumeration limited to {LC_ORBIT_MAX_VERTICES} vertices"

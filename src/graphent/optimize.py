@@ -8,9 +8,10 @@ Bloch-uniform initial states from per-restart RNG streams derived as
 execution order or thread count.
 
 Coordinates can be pinned (never updated) to break correlated update
-equations: fixing one or two qubits restores convergence for graphs whose
-unconstrained equations are mutually dependent, at the cost of searching the
-possible pinnings (see :func:`auto_fix_search`).
+equations: the per-round schedule can circle forever on a graph whose
+update equations depend on each other (the Bell pair is the smallest), and
+pinning one qubit restores convergence.  The sequential schedule reaches
+the same optima unpinned.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ import numpy as np
 from .catalog import ALPHABET_LABELS, alphabet_constants
 from .graphs import Graph
 from .states import (
+    PAIR_MINUS,
+    PAIR_ONE,
+    PAIR_PLUS,
     PAIR_ZERO,
     ProductState,
     QubitAmplitudePair,
@@ -54,12 +58,23 @@ STALL_RESIDUAL = 1e-6
 CONVERGED_RESIDUAL = 1e-8
 
 DEGENERATE_EPS = 1e-300
+_SMALLEST_NORMAL = np.finfo(float).tiny
 SNAP_MAX_DISTANCE = 0.05
 
 _ENGINE_BLOCK_ELEMS = 1 << 21
 # presample draws in chunks whose (chunk, 2**n) weight array has at most this
 # many elements, so its memory does not grow with the sample count.
 _PRESAMPLE_ELEMS = 1 << 16
+
+# Named pin values; ``random`` keeps each restart's own draw for the qubit.
+FIX_VALUES = {
+    "|0>": PAIR_ZERO,
+    "|1>": PAIR_ONE,
+    "|+>": PAIR_PLUS,
+    "|->": PAIR_MINUS,
+    "random": None,
+}
+_FIX_NAMES = {val: name for name, val in FIX_VALUES.items()}
 
 
 @dataclass(frozen=True)
@@ -91,14 +106,11 @@ class FixedCoordinateSpec:
         return tuple(v for v, _ in self.entries)
 
     def describe(self) -> str:
+        """``fixed 0=|1>,2=random``; pins outside :data:`FIX_VALUES` as raw pairs."""
         parts = []
         for v, val in self.entries:
-            if val is None:
-                parts.append(f"{v}=random")
-            elif val == PAIR_ZERO:
-                parts.append(f"{v}=|0>")
-            else:
-                parts.append(f"{v}=({val.x:.6g},{val.y:.6g})")
+            name = _FIX_NAMES.get(val)
+            parts.append(f"{v}={name}" if name else f"{v}=({val.x:.6g},{val.y:.6g})")
         return "fixed " + ",".join(parts)
 
 
@@ -251,10 +263,14 @@ def measures_from_entanglement(E: float) -> dict:
 # batched iteration engine
 
 def _gauge_fix_rows(pairs: np.ndarray) -> np.ndarray:
-    """Vectorized gauge fix: first amplitude real >= 0; (0, 1) when it vanishes."""
+    """Vectorized gauge fix: first amplitude real >= 0; second 1 when it vanishes.
+
+    A subnormal |x| counts as vanishing: numpy divides x / |x| through 1/|x|,
+    which overflows.
+    """
     x = pairs[:, 0]
     ax = np.abs(x)
-    nz = ax > 0.0
+    nz = ax >= _SMALLEST_NORMAL
     phase = np.ones_like(x)
     phase[nz] = x[nz].conj() / ax[nz]
     out = pairs * phase[:, None]
@@ -533,41 +549,6 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
         measures=measures_from_entanglement(E),
         fix_used=cfg.fixed.describe() if cfg.fixed is not None else None,
     )
-
-
-def optimize_with_fixed(g: Graph, spec: FixedCoordinateSpec,
-                        cfg: OptimizerConfig | None = None,
-                        threads: int = 1) -> OptimizationResult:
-    """As :func:`optimize` but with the given coordinates pinned."""
-    cfg = cfg or OptimizerConfig()
-    return optimize(g, replace(cfg, fixed=spec), threads=threads)
-
-
-def auto_fix_search(g: Graph, cfg: OptimizerConfig | None = None,
-                    threads: int = 1) -> OptimizationResult:
-    """Best result over no fix, every single-coordinate fix, and every pair fix.
-
-    Pinned values are |0>, following the heuristic that the closest state of
-    the vertex-deleted subgraph extends by a |0> factor.  The returned result
-    records which pinning won (ties go to the earliest candidate, the
-    unconstrained run first).
-    """
-    cfg = cfg or OptimizerConfig()
-    if cfg.fixed is not None:
-        raise ValueError("auto-fix chooses its own pinnings and cannot be "
-                         "combined with fixed coordinates")
-    candidates: list[FixedCoordinateSpec | None] = [None]
-    if g.n >= 2:
-        candidates += [FixedCoordinateSpec.zeros([j]) for j in range(g.n)]
-    if g.n >= 3:
-        candidates += [FixedCoordinateSpec.zeros([i, j])
-                       for j in range(g.n) for i in range(j)]
-    best = None
-    for spec in candidates:
-        res = optimize(g, replace(cfg, fixed=spec), threads=threads)
-        if best is None or res.best_F > best.best_F:
-            best = replace(res, fix_used=spec.describe() if spec else "unconstrained")
-    return best
 
 
 def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:

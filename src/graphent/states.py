@@ -151,9 +151,6 @@ class StateVector:
     def inner(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def to_json(self) -> list:
-        return [[a.real, a.imag] for a in self.amplitudes]
-
 
 @lru_cache(maxsize=128)
 def phase_signs(g: Graph) -> np.ndarray:

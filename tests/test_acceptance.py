@@ -7,6 +7,7 @@ to see the lines for passing tests too.
 import functools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_criterion_3_bell_pair_repair():
     assert free.stalled_count() >= 1
     stalled = [r for r in free.records if r.stalled]
     assert all(r.final_F < 0.5 - 1e-9 for r in stalled)
-    pinned = ge.optimize_with_fixed(K2, ge.FixedCoordinateSpec.zeros([0]), cfg)
+    pinned = ge.optimize(K2, replace(cfg, fixed=ge.FixedCoordinateSpec.zeros([0])))
     assert abs(pinned.best_F - 0.5) <= 1e-15
 
 

@@ -1,5 +1,5 @@
 import json
-import sys
+import math
 
 import pytest
 
@@ -88,13 +88,39 @@ class TestCompute:
         assert code == 0
         assert "presample F range" in out
 
-    def test_auto_fix(self, capsys):
+    def test_fix_trace_ends_at_best_F(self, capsys, tmp_path):
+        # the trace reruns the reported restart under the same pins
+        trace = tmp_path / "trace.csv"
         code, out, _ = run_cli(
-            capsys, "compute", "--graph6", "A_", "--auto-fix",
-            "--restarts", "10", "--mode", "per-round", "--format", "json")
+            capsys, "compute", "--family", "cycle:5", "--fix", "0=|+>",
+            "--restarts", "12", "--rounds", "60", "--seed", "2",
+            "--format", "json", "--trace-csv", str(trace))
         assert code == 0
-        data = json.loads(out)
-        assert abs(data["best_F"] - 0.5) <= 1e-15
+        last = float(trace.read_text().strip().splitlines()[-1].split(",")[1])
+        assert abs(last - json.loads(out)["best_F"]) <= 1e-14
+
+    def test_fix_names_in_report(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compute", "--family", "cycle:4", "--fix", "0=|1>",
+            "--fix", "1=|->", "--restarts", "4", "--rounds", "20")
+        assert code == 0
+        assert "fix used              : fixed 0=|1>,1=|->\n" in out
+
+    @pytest.mark.filterwarnings("error")
+    def test_per_round_subnormal_rows_stay_finite(self, capsys):
+        # restart 59 drives a first amplitude subnormal; its gauge fix must
+        # not divide through an overflowing 1/|x|
+        code, out, _ = run_cli(
+            capsys, "compute", "--graph6", "E?Bw", "--mode", "per-round",
+            "--fix", "0=|0>", "--restarts", "60", "--rounds", "150",
+            "--seed", "3", "--format", "json")
+        assert code == 0
+        finals = [r["final_F"] for r in json.loads(out)["restarts_summary"]]
+        assert all(math.isfinite(F) for F in finals)
+
+    def test_auto_fix_flag_removed(self, capsys):
+        code, _, err = run_cli(capsys, "compute", "--family", "cycle:4", "--auto-fix")
+        assert code == 2 and "--auto-fix" in err
 
     def test_threads_flag_byte_identical(self, capsys):
         base = ("compute", "--family", "cycle:5", "--restarts", "30",
@@ -113,6 +139,15 @@ class TestCompute:
         assert code == 2 and out == ""
         assert "threads must be >= 1" in err
 
+    def test_negative_presample_usage_error(self, capsys, monkeypatch):
+        # refused before the search starts
+        monkeypatch.setattr(cli, "optimize", None)
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "star:3", "--restarts", "4",
+            "--presample", "-5")
+        assert code == 2 and out == ""
+        assert "--presample must be >= 0" in err
+
     def test_huge_threads_clamped(self, capsys):
         # 4 restarts make at most 4 blocks, so a missing clamp cannot start
         # many threads here; the output must match a single thread's
@@ -127,16 +162,6 @@ class TestCompute:
             capsys, "compute", "--family", "cycle:4", "--graph6", "A_")
         assert code == 2
         assert "exactly one graph source" in err
-
-    def test_auto_fix_with_fix_usage_error(self, capsys, monkeypatch):
-        # --auto-fix picks its own pinnings; a --fix beside it is refused
-        # before any search instead of being dropped
-        monkeypatch.setattr(sys.modules["graphent.optimize"], "optimize", None)
-        code, out, err = run_cli(
-            capsys, "compute", "--family", "cycle:5", "--auto-fix",
-            "--fix", "0=|1>", "--restarts", "4", "--rounds", "10")
-        assert code == 2 and out == ""
-        assert "cannot be combined with fixed coordinates" in err
 
     def test_orthogonal_pin_usage_error(self, capsys):
         # |-> on a vertex of the empty graph state |++> leaves F = 0 everywhere
@@ -198,6 +223,13 @@ class TestOrbit:
         code, _, err = run_cli(capsys, "orbit", "--family", "empty:11")
         assert code == 1
         assert "capability" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_usage_error(self, capsys, cap):
+        code, out, err = run_cli(
+            capsys, "orbit", "--family", "cycle:4", "--max-graphs", cap)
+        assert code == 2 and out == ""
+        assert "max_graphs must be >= 1" in err
 
     def test_orbit_cap_exit_code(self, capsys):
         code, _, _ = run_cli(

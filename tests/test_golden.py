@@ -30,9 +30,6 @@ CASES = {
     "compute_fix": [
         "compute", "--family", "cycle:5", "--fix", "0=|0>", "--restarts", "30",
         "--rounds", "60", "--seed", "2", "--threads", "1", "--format", "json"],
-    "compute_auto_fix": [
-        "compute", "--family", "cycle:4", "--auto-fix", "--restarts", "10",
-        "--rounds", "40", "--seed", "4", "--threads", "1", "--format", "json"],
     "compute_threads2": [
         "compute", "--graph6", "F?~vW", "--restarts", "64", "--rounds", "60",
         "--seed", "5", "--threads", "2", "--format", "json"],

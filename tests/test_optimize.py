@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from graphent import (
     OptimizerConfig,
     ProductState,
     QubitAmplitudePair,
-    auto_fix_search,
     build_graph,
     builtin_family,
     coordinate_update,
@@ -18,7 +16,6 @@ from graphent import (
     initial_state_for_restart,
     measures_from_entanglement,
     optimize,
-    optimize_with_fixed,
     orthogonality_residual,
     partial_overlaps,
     presample,
@@ -28,8 +25,10 @@ from graphent import (
     success_probability,
 )
 from graphent.catalog import PAIR_PHI
+from graphent.optimize import _gauge_fix_rows
 from graphent.states import (
     PAIR_MINUS,
+    PAIR_ONE,
     PAIR_PLUS,
     PAIR_ZERO,
     _batch_partials,
@@ -145,6 +144,17 @@ class TestCoordinateUpdate:
                                for t in (split[:, 0] * others, split[:, 1] * others))
                 assert partial_overlaps(g, p, j) == expect
 
+    def test_gauge_fix_subnormal_first_amplitude(self):
+        # numpy divides x / |x| through 1/|x|, which overflows when |x| is
+        # subnormal; such rows must come out finite and as the scalar gauge
+        # fix gives them
+        rows = np.array([[s * ph, ph] for s, ph in (
+            (5e-320, 1), (3e-310, 1j), (1e-315, -1), (2e-309, -1j))])
+        out = _gauge_fix_rows(rows)
+        for row, got in zip(rows, out):
+            ref = QubitAmplitudePair.normalized(*row)
+            assert abs(got[0] - ref.x) <= 1e-15 and abs(got[1] - ref.y) <= 1e-15
+
 
 class TestRunRestart:
     def test_sequential_trace_monotone(self, rng):
@@ -254,15 +264,14 @@ class TestOptimize:
 
 class TestFixedCoordinates:
     def test_k2_fixed_zero_exact_half(self):
-        res = optimize_with_fixed(K2, FixedCoordinateSpec.zeros([0]),
-                                  small_cfg(mode="per-round"))
+        res = optimize(K2, small_cfg(mode="per-round",
+                                     fixed=FixedCoordinateSpec.zeros([0])))
         assert abs(res.best_F - 0.5) <= 1e-15
         assert res.fix_used == "fixed 0=|0>"
 
     def test_fixed_qubit_never_moves(self):
         spec = FixedCoordinateSpec(((0, PAIR_MINUS),))
-        res = optimize_with_fixed(builtin_family("cycle", 4), spec,
-                                  small_cfg(restarts=8))
+        res = optimize(builtin_family("cycle", 4), small_cfg(restarts=8, fixed=spec))
         assert res.best_state.qubits[0] == PAIR_MINUS
 
     def test_subgraph_ansatz_bound(self):
@@ -270,23 +279,27 @@ class TestFixedCoordinates:
         # E(fixed) >= E(free), within one bit of the subgraph value
         g = builtin_family("cycle", 6)
         free = optimize(g, small_cfg(restarts=60))
-        pinned = optimize_with_fixed(g, FixedCoordinateSpec.zeros([5]),
-                                     small_cfg(restarts=60))
+        pinned = optimize(g, small_cfg(restarts=60, fixed=FixedCoordinateSpec.zeros([5])))
         sub = optimize(builtin_family("path", 5), small_cfg(restarts=60))
         assert pinned.entanglement >= free.entanglement - 1e-9
         assert abs(pinned.entanglement - (sub.entanglement + 1)) <= 1e-9
 
     def test_all_fixed_rejected(self):
         with pytest.raises(ValueError):
-            optimize_with_fixed(K2, FixedCoordinateSpec.zeros([0, 1]),
-                                small_cfg(restarts=2))
+            optimize(K2, small_cfg(restarts=2, fixed=FixedCoordinateSpec.zeros([0, 1])))
 
     def test_orthogonal_pin_rejected(self):
         # |-> on a vertex of the empty graph state |++> leaves F = 0 for every
         # restart; the error must say so, not complain about log2(0)
         spec = FixedCoordinateSpec(((0, PAIR_MINUS),))
         with pytest.raises(ValueError, match="every restart ended at F = 0"):
-            optimize_with_fixed(builtin_family("empty", 2), spec, small_cfg(restarts=3))
+            optimize(builtin_family("empty", 2), small_cfg(restarts=3, fixed=spec))
+
+    def test_describe_names_table_pins(self):
+        spec = FixedCoordinateSpec(((0, PAIR_ONE), (1, PAIR_MINUS), (2, None),
+                                    (3, PAIR_PHI[0])))
+        assert spec.describe() == (
+            "fixed 0=|1>,1=|->,2=random,3=(0.459701+0j,0.627963+0.627963j)")
 
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -298,29 +311,6 @@ class TestFixedCoordinates:
         init = initial_state_for_restart(g, cfg, 0)
         rec = run_restart(g, init, cfg)
         assert rec.final_state.qubits[2] == init.qubits[2]
-
-
-class TestAutoFixSearch:
-    def test_rejects_fixed_coordinates(self, monkeypatch):
-        # refused before any search, instead of the pinning being dropped
-        monkeypatch.setattr(sys.modules["graphent.optimize"], "optimize", None)
-        cfg = small_cfg(fixed=FixedCoordinateSpec.zeros([0]))
-        with pytest.raises(ValueError, match="cannot be combined"):
-            auto_fix_search(builtin_family("cycle", 5), cfg)
-
-    def test_k2(self):
-        res = auto_fix_search(K2, small_cfg(restarts=20, mode="per-round"))
-        assert abs(res.best_F - 0.5) <= 1e-15
-        assert res.fix_used.startswith("fixed")
-
-    def test_c5_unconstrained_already_optimal(self):
-        res = auto_fix_search(builtin_family("cycle", 5), small_cfg(restarts=30))
-        assert abs(res.entanglement - E_RING5) <= 1e-12
-
-    def test_star3_all_branches_agree(self):
-        res = auto_fix_search(builtin_family("star", 3), small_cfg(restarts=20))
-        assert abs(res.best_F - 0.5) <= 1e-13
-        assert abs(res.entanglement - 1.0) <= 1e-12
 
 
 class TestPresample:
@@ -383,8 +373,7 @@ class TestScalarConversions:
 
 class TestSnap:
     def test_k2_fixed_zero_snaps_to_zero_plus(self):
-        res = optimize_with_fixed(K2, FixedCoordinateSpec.zeros([0]),
-                                  small_cfg(restarts=10))
+        res = optimize(K2, small_cfg(restarts=10, fixed=FixedCoordinateSpec.zeros([0])))
         snap = snap_to_exact(K2, res.best_state)
         assert snap.labels == ("0", "+")
         assert abs(snap.fidelity - 0.5) <= 1e-15
