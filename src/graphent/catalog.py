@@ -22,7 +22,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .graphs import Graph, build_graph, parse_graph6
+from .graphs import Graph, _check_vertex_count, build_graph, parse_graph6
 from .states import PAIR_MINUS, PAIR_PLUS, PAIR_ONE, PAIR_ZERO, QubitAmplitudePair
 
 RADICAL_VALUES = {
@@ -128,8 +128,7 @@ def builtin_family(name: str, n: int) -> Graph:
     """Standard labeled families: empty, complete, star (center 0), path, cycle."""
     if name not in FAMILY_NAMES:
         raise ValueError(f"unknown family {name!r}, choose from {FAMILY_NAMES}")
-    if n < 1:
-        raise ValueError(f"family size must be >= 1, got {n}")
+    _check_vertex_count(n)
     if name == "empty":
         return build_graph(n, [])
     if name == "complete":

@@ -21,6 +21,7 @@ from .catalog import builtin_family, exact_value_eval, load_catalog, load_seed_c
 from .graphs import CapabilityError, Graph, encode_graph6, lc_orbit, parse_edge_list, parse_graph6
 from .optimize import (
     FIX_VALUES,
+    MODES,
     FixedCoordinateSpec,
     OptimizerConfig,
     initial_state_for_restart,
@@ -34,7 +35,7 @@ from .states import ProductState
 
 def _default_seed() -> int:
     env = os.environ.get("GRAPHENT_SEED")
-    return int(env) if env else 0
+    return int(env) if env else OptimizerConfig().seed
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -51,15 +52,14 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
+    defaults = OptimizerConfig()
     opt = p.add_argument_group("optimizer")
-    opt.add_argument("--restarts", type=int, default=1000)
-    opt.add_argument("--rounds", type=int, default=150)
-    opt.add_argument("--mode", choices=("sequential", "per-round"),
-                     default="sequential")
+    opt.add_argument("--restarts", type=int, default=defaults.restarts)
+    opt.add_argument("--rounds", type=int, default=defaults.rounds)
+    opt.add_argument("--mode", choices=MODES, default=defaults.mode)
     opt.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (default: $GRAPHENT_SEED or 0)")
-    opt.add_argument("--convergence-eps", type=float, default=1e-16)
-    opt.add_argument("--success-tol", type=float, default=1e-14)
+                     help=f"RNG seed (default: $GRAPHENT_SEED or {defaults.seed})")
+    opt.add_argument("--success-tol", type=float, default=defaults.success_tol)
     opt.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
 
@@ -147,7 +147,6 @@ def _config(args) -> OptimizerConfig:
         restarts=args.restarts,
         mode=args.mode,
         seed=seed,
-        convergence_eps=args.convergence_eps,
         success_tol=args.success_tol,
     )
 
@@ -184,6 +183,13 @@ def _emit(args, text_fn, json_dict, csv_fn) -> None:
         out.write(text_fn() + "\n")
 
 
+def _warn_if_stalled(result, where: str = "") -> None:
+    """One stderr line when the reported E comes from a stalled restart."""
+    if result.records[result.best_index].stalled:
+        print(f"graphent: warning: {where}E comes from a stalled restart and is "
+              "not at a critical point; try --mode sequential", file=sys.stderr)
+
+
 def _cmd_compute(args) -> int:
     g, source = _load_graph(args)
     cfg = _config(args)
@@ -194,6 +200,7 @@ def _cmd_compute(args) -> int:
         raise ValueError(f"--presample must be >= 0, got {args.presample}")
 
     result = optimize(g, cfg, threads=args.threads)
+    _warn_if_stalled(result)
 
     pres = None
     if args.presample:
@@ -373,6 +380,7 @@ def _cmd_table(args) -> int:
     for e in entries:
         report = classify(e.graph)
         result = optimize(e.graph, cfg, threads=args.threads)
+        _warn_if_stalled(result, f"entry {e.id}: ")
         expected = exact_value_eval(e.expected) if e.expected is not None else None
         ref = expected if expected is not None else result.entanglement
         rows.append({

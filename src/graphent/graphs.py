@@ -27,6 +27,14 @@ class CapabilityError(RuntimeError):
     """An input is valid but exceeds what this implementation can compute."""
 
 
+def _check_vertex_count(n: int) -> None:
+    """Refuse a vertex count outside 1..MAX_VERTICES, before any work scales with it."""
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n={n}")
+    if n > MAX_VERTICES:
+        raise CapabilityError(f"graphs limited to {MAX_VERTICES} vertices, got n={n}")
+
+
 def bits_of(mask: int) -> list[int]:
     """Vertices contained in a bitmask, in increasing order."""
     out = []
@@ -59,12 +67,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        if self.n > MAX_VERTICES:
-            raise CapabilityError(
-                f"graphs limited to {MAX_VERTICES} vertices, got n={self.n}"
-            )
+        _check_vertex_count(self.n)
         if len(self.rows) != self.n:
             raise ValueError("rows length must equal vertex count")
         full = (1 << self.n) - 1
@@ -130,7 +133,9 @@ def build_graph(n: int, edges) -> Graph:
     """Build a graph from a vertex count and an edge list.
 
     Rejects self-loops and out-of-range endpoints; duplicate edges collapse.
+    A vertex count outside 1..MAX_VERTICES is refused before the edges are read.
     """
+    _check_vertex_count(n)
     rows = [0] * n
     for a, b in edges:
         if a == b:

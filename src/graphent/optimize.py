@@ -30,17 +30,20 @@ from .states import (
     PAIR_ONE,
     PAIR_PLUS,
     PAIR_ZERO,
+    _SMALLEST_NORMAL,
     ProductState,
     QubitAmplitudePair,
     _batch_overlaps,
     _batch_partials,
     _kernel_workspace,
+    _row_overlap,
     _scaled_signs,
     _state_to_row,
     fidelity,
     fubini_study_distance,
     haar_random_pair,
     partial_overlaps,
+    phase_signs,
 )
 
 MODES = ("sequential", "per-round")
@@ -52,13 +55,14 @@ STALL_WINDOW = 20
 STALL_IMPROVE_EPS = 1e-12
 STALL_RESIDUAL = 1e-6
 
-# Convergence requires a flat fidelity AND a near-zero fixed-point residual:
-# correlated update equations can leave the fidelity exactly invariant while
-# the state is far from any critical point (those restarts stall instead).
+# Convergence requires a flat fidelity (a round-over-round change below
+# CONVERGENCE_EPS) AND a near-zero fixed-point residual: correlated update
+# equations can leave the fidelity exactly invariant while the state is far
+# from any critical point (those restarts stall instead).
+CONVERGENCE_EPS = 1e-16
 CONVERGED_RESIDUAL = 1e-8
 
 DEGENERATE_EPS = 1e-300
-_SMALLEST_NORMAL = np.finfo(float).tiny
 SNAP_MAX_DISTANCE = 0.05
 
 _ENGINE_BLOCK_ELEMS = 1 << 21
@@ -122,7 +126,6 @@ class OptimizerConfig:
     restarts: int = 1000
     mode: str = "sequential"
     seed: int = 0
-    convergence_eps: float = 1e-16
     success_tol: float = 1e-14
     fixed: FixedCoordinateSpec | None = None
 
@@ -135,8 +138,6 @@ class OptimizerConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.convergence_eps < 0:
-            raise ValueError("convergence_eps must be >= 0")
         if self.success_tol <= 0:
             raise ValueError("success_tol must be > 0")
 
@@ -360,22 +361,22 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
                 trace.extend(F_round.tolist())
         Q[live] = A
 
-        flat = np.flatnonzero(np.abs(F_round - F_prev[live]) < cfg.convergence_eps)
-        if flat.size:
-            res = _batch_residuals(A[flat], signs, free, work)
-            settled = live[flat[res <= CONVERGED_RESIDUAL]]
-            converged[settled] = True
-            active[settled] = False
-
         improved = F_round > best_seen[live] + STALL_IMPROVE_EPS
         plateau[live] = np.where(improved, 0, plateau[live] + 1)
         best_seen[live] = np.maximum(best_seen[live], F_round)
-        candidates = live[active[live] & (plateau[live] >= STALL_WINDOW)]
-        if candidates.size:
-            res = _batch_residuals(Q[candidates], signs, free, work)
-            bad = candidates[res > STALL_RESIDUAL]
-            stalled[bad] = True
-            active[bad] = False
+        flat = np.abs(F_round - F_prev[live]) < CONVERGENCE_EPS
+        stuck = plateau[live] >= STALL_WINDOW
+        # A row's residual does not depend on the other rows in its batch, so
+        # one pass over the flat and the plateaued rows decides both tests.
+        check = flat | stuck
+        if check.any():
+            res = _batch_residuals(A[check], signs, free, work)
+            done = flat[check] & (res <= CONVERGED_RESIDUAL)
+            bad = ~done & stuck[check] & (res > STALL_RESIDUAL)
+            rows = live[check]
+            converged[rows[done]] = True
+            stalled[rows[bad]] = True
+            active[rows[done | bad]] = False
         F_prev[live] = F_round
 
     return _BlockOutcome(converged, stalled, rounds_used, degenerate, trace)
@@ -454,9 +455,11 @@ def run_restart(g: Graph, init: ProductState, cfg: OptimizerConfig) -> RestartRe
     Sequential mode sweeps the free coordinates in order, updating in place;
     per-round mode computes every update from the round-start state and
     applies them together (one trace entry per round).  Stops at the rounds
-    cap, on a round-over-round fidelity change below ``convergence_eps``, or
-    when flagged as stalled.  Pinned coordinates with explicit values replace
-    the matching entries of ``init``; value-less pins keep ``init``'s entry.
+    cap, on convergence (a round-over-round fidelity change below
+    :data:`CONVERGENCE_EPS` at a fixed-point residual of at most
+    :data:`CONVERGED_RESIDUAL`), or when flagged as stalled.  Pinned
+    coordinates with explicit values replace the matching entries of
+    ``init``; value-less pins keep ``init``'s entry.
     """
     if init.n != g.n:
         raise ValueError(f"init has {init.n} qubits, graph has {g.n}")
@@ -465,12 +468,11 @@ def run_restart(g: Graph, init: ProductState, cfg: OptimizerConfig) -> RestartRe
     init = ProductState(tuple(pairs))
     Q = _state_to_row(init)[None, :, :]
     out = _iterate_block(g, Q, cfg, free, collect_trace=True)
-    final_state = _rows_to_state(Q, 0)
     return RestartRecord(
         init=init,
         fidelity_trace=tuple(out.trace),
-        final_state=final_state,
-        final_F=fidelity(g, final_state),
+        final_state=_rows_to_state(Q, 0),
+        final_F=abs(_row_overlap(phase_signs(g), Q[0])) ** 2,
         converged=bool(out.converged[0]),
         stalled=bool(out.stalled[0]),
         degenerate_steps=int(out.degenerate[0]),
@@ -502,15 +504,16 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     block = _block_size(g.n, cfg.restarts, threads)
     starts = list(range(0, cfg.restarts, block))
 
+    pm = phase_signs(g)
+
     def run_span(start: int) -> tuple[list[RestartSummary], np.ndarray]:
         count = min(block, cfg.restarts - start)
-        Q = np.empty((count, g.n, 2), dtype=np.complex128)
-        for i in range(count):
-            Q[i] = _state_to_row(initial_state_for_restart(g, cfg, start + i))
+        Q = np.array([_state_to_row(initial_state_for_restart(g, cfg, start + i))
+                      for i in range(count)])
         out = _iterate_block(g, Q, cfg, free)
         summaries = []
         for i in range(count):
-            F = fidelity(g, _rows_to_state(Q, i))
+            F = abs(_row_overlap(pm, Q[i])) ** 2
             summaries.append(RestartSummary(
                 index=start + i,
                 final_F=F,
@@ -527,15 +530,10 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     else:
         results = [run_span(start) for start in starts]
 
-    records: list[RestartSummary] = []
-    best = None
-    best_state = None
-    for summaries, Qfinal in results:
-        for i, s in enumerate(summaries):
-            records.append(s)
-            if best is None or s.final_F > best.final_F:
-                best = s
-                best_state = _rows_to_state(Qfinal, i)
+    records = [s for summaries, _ in results for s in summaries]
+    # max keeps the first maximum, so ties go to the lowest index
+    best = max(records, key=lambda s: s.final_F)
+    best_state = _rows_to_state(results[best.index // block][1], best.index % block)
     if best.final_F <= 0.0:
         raise ValueError("every restart ended at F = 0: the pinned qubits make "
                          "the product state orthogonal to the graph state")

@@ -25,6 +25,7 @@ from .graphs import Graph, bits_of
 
 NORM_TOL = 1e-12
 EIGENCHECK_TOL = 1e-10
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -54,14 +55,19 @@ class QubitAmplitudePair:
 
     @classmethod
     def normalized(cls, x: complex, y: complex) -> "QubitAmplitudePair":
-        """Normalize and gauge-fix arbitrary (x, y) amplitudes."""
+        """Normalize and gauge-fix arbitrary (x, y) amplitudes.
+
+        A subnormal |x| counts as vanishing, as in the engine's row gauge
+        fix: x becomes |x| and y becomes 1.
+        """
         nrm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero amplitude pair")
         x, y = complex(x) / nrm, complex(y) / nrm
         ax = abs(x)
-        if ax == 0.0:
-            return cls(0j, 1.0 + 0j)
+        if ax < _SMALLEST_NORMAL:
+            # x* / |x| keeps too few mantissa bits to be a unit phase.
+            return cls(complex(ax, 0.0), 1.0 + 0j)
         phase = x.conjugate() / ax
         return cls(complex(ax, 0.0), y * phase)
 
@@ -273,12 +279,17 @@ def _fsum_complex(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
+def _row_overlap(pm: np.ndarray, row: np.ndarray) -> complex:
+    """<G|phi> of one (n, 2) row given :func:`phase_signs`, error-free."""
+    terms = pm * _product_weights(row[None])[0]
+    return _fsum_complex(terms) * 2.0 ** (-row.shape[0] / 2)
+
+
 def overlap(g: Graph, p: ProductState) -> complex:
     """<G|phi>: signed sum of product amplitudes, error-free accumulation."""
     if p.n != g.n:
         raise ValueError(f"product state has {p.n} qubits, graph has {g.n}")
-    terms = phase_signs(g) * _product_weights(_state_to_row(p)[None])[0]
-    return _fsum_complex(terms) * 2.0 ** (-g.n / 2)
+    return _row_overlap(phase_signs(g), _state_to_row(p))
 
 
 def fidelity(g: Graph, p: ProductState) -> float:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from graphent import (
+    CapabilityError,
     CatalogError,
     ExactValue,
     alphabet_constants,
@@ -39,6 +40,15 @@ class TestBuiltinFamily:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             builtin_family("wheel", 5)
+
+    def test_oversized_refused_before_edge_list(self, monkeypatch):
+        def refuse(n, edges):
+            pytest.fail(f"edge list built for n={n}")
+
+        monkeypatch.setattr("graphent.catalog.build_graph", refuse)
+        for name in ("complete", "path", "star"):
+            with pytest.raises(CapabilityError):
+                builtin_family(name, 17)
 
 
 class TestExactValue:

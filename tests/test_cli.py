@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from graphent import cli
+from graphent import OptimizerConfig, cli
 from graphent.cli import main
 
 
@@ -117,6 +117,17 @@ class TestCompute:
         assert code == 0
         finals = [r["final_F"] for r in json.loads(out)["restarts_summary"]]
         assert all(math.isfinite(F) for F in finals)
+
+    def test_stalled_winner_warns_on_stderr(self, capsys):
+        base = ("compute", "--graph6", "E?Fw", "--restarts", "60", "--rounds",
+                "150", "--seed", "3", "--format", "json")
+        code, out, err = run_cli(capsys, *base, "--mode", "per-round")
+        assert code == 0 and json.loads(out)["stalled_restarts"] == 60
+        assert err.count("\n") == 1
+        assert "stalled restart" in err and "--mode sequential" in err
+        code, out, err = run_cli(capsys, *base, "--mode", "sequential")
+        assert code == 0 and abs(json.loads(out)["entanglement"] - 2) <= 1e-12
+        assert err == ""
 
     def test_auto_fix_flag_removed(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--family", "cycle:4", "--auto-fix")
@@ -287,6 +298,31 @@ class TestTable:
             "--format", "csv")
         assert code == 0
         assert out.strip().splitlines()[1].startswith("bell,2,1,1,")
+
+
+    def test_stalled_winner_warns_per_entry(self, capsys, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        path.write_text('{"id": "e", "n": 6, "graph6": "E?Fw"}\n')
+        base = ("table", "--catalog", str(path), "--restarts", "60",
+                "--rounds", "150", "--seed", "3")
+        _, _, err = run_cli(capsys, *base, "--mode", "per-round")
+        assert err.startswith("graphent: warning: entry e: ") and err.count("\n") == 1
+        _, _, err = run_cli(capsys, *base)
+        assert err == ""
+
+
+class TestOptimizerDefaults:
+    @pytest.mark.parametrize("command", ["compute", "table"])
+    def test_parsed_defaults_are_config_defaults(self, command, monkeypatch):
+        monkeypatch.delenv("GRAPHENT_SEED", raising=False)
+        argv = [command] + (["--family", "cycle:4"] if command == "compute" else [])
+        args = cli.build_parser().parse_args(argv)
+        assert cli._config(args) == OptimizerConfig()
+
+    def test_convergence_eps_flag_removed(self, capsys):
+        code, _, err = run_cli(capsys, "compute", "--family", "cycle:4",
+                               "--convergence-eps", "0")
+        assert code == 2 and "--convergence-eps" in err
 
 
 class TestUsageErrors:

@@ -60,6 +60,16 @@ class TestBuildGraph:
         with pytest.raises(CapabilityError):
             build_graph(17, [])
 
+    def test_vertex_count_refused_before_edges_are_read(self):
+        def edges():
+            pytest.fail("edges read for a refused vertex count")
+            yield
+
+        with pytest.raises(CapabilityError):
+            build_graph(17, edges())
+        with pytest.raises(ValueError):
+            build_graph(0, edges())
+
     def test_json_round_trip(self, rng):
         for _ in range(20):
             g = random_graph(rng, n_max=10)
