@@ -65,6 +65,13 @@ def exact_value_eval(v: ExactValue) -> float:
     return total
 
 
+def _fraction(piece: str, text: str) -> Fraction:
+    try:
+        return Fraction(piece)
+    except (ValueError, ZeroDivisionError):
+        raise CatalogError(f"malformed rational {piece!r} in {text!r}") from None
+
+
 def parse_exact_value(text: str) -> ExactValue:
     """Parse the ``expected`` grammar, e.g. ``"2+3*log2(3)+log2(2-sqrt3)"``."""
     q0 = Fraction(0)
@@ -82,12 +89,12 @@ def parse_exact_value(text: str) -> ExactValue:
             if coeff_s in ("", "1*"):
                 coeff = Fraction(1)
             elif coeff_s.endswith("*"):
-                coeff = Fraction(coeff_s[:-1])
+                coeff = _fraction(coeff_s[:-1], text)
             else:
                 raise CatalogError(f"malformed coefficient in {piece!r}")
             terms.append((coeff, base))
         else:
-            q0 += Fraction(piece)
+            q0 += _fraction(piece, text)
     return ExactValue(q0, tuple(terms))
 
 
@@ -179,27 +186,25 @@ class CatalogEntry:
 
 
 def _entry_from_dict(d: dict, where: str) -> CatalogEntry:
-    if "id" not in d or "n" not in d:
+    if not isinstance(d, dict) or "id" not in d or "n" not in d:
         raise CatalogError(f"{where}: entry needs 'id' and 'n'")
-    n = int(d["n"])
-    if "edges" in d:
-        try:
-            g = build_graph(n, [tuple(e) for e in d["edges"]])
-        except ValueError as exc:
-            raise CatalogError(f"{where}: {exc}") from exc
-    elif "graph6" in d:
-        g = parse_graph6(d["graph6"])
-        if g.n != n:
-            raise CatalogError(f"{where}: graph6 has {g.n} vertices, 'n' says {n}")
-    else:
-        raise CatalogError(f"{where}: entry needs 'edges' or 'graph6'")
+    n = d["n"]
+    if "edges" not in d and not isinstance(d.get("graph6"), str):
+        raise CatalogError(f"{where}: entry needs 'edges' or a 'graph6' string")
+    try:
+        g = build_graph(n, d["edges"]) if "edges" in d else parse_graph6(d["graph6"])
+        ps = float(d["ps"]) if "ps" in d else None
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"{where}: {exc}") from exc
+    if g.n != n:
+        raise CatalogError(f"{where}: graph6 has {g.n} vertices, 'n' says {n}")
     expected = parse_exact_value(d["expected"]) if "expected" in d else None
     return CatalogEntry(
         id=str(d["id"]),
         graph=g,
         expected=expected,
         category=d.get("category"),
-        ps_reference=float(d["ps"]) if "ps" in d else None,
+        ps_reference=ps,
         notes=d.get("notes"),
     )
 

@@ -423,6 +423,9 @@ def _cmd_table(args) -> int:
 def _cmd_snap(args) -> int:
     with open(args.result) as fh:
         saved = json.load(fh)
+    if not isinstance(saved, dict):
+        raise ValueError(
+            f"{args.result}: expected the JSON object that 'compute --output' writes")
     g = Graph.from_json_dict(saved["graph"])
     state = ProductState.from_json(saved["best_state"])
     snap = snap_to_exact(g, state)

@@ -9,6 +9,7 @@ to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -126,16 +127,25 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Graph":
-        return build_graph(int(d["n"]), [tuple(e) for e in d["edges"]])
+        """Inverse of :meth:`to_json_dict`; ``ValueError`` on a malformed object."""
+        if not isinstance(d, dict):
+            raise ValueError("graph must be a JSON object with 'n' and 'edges'")
+        return build_graph(d["n"], d["edges"])
 
 
 def build_graph(n: int, edges) -> Graph:
     """Build a graph from a vertex count and an edge list.
 
-    Rejects self-loops and out-of-range endpoints; duplicate edges collapse.
-    A vertex count outside 1..MAX_VERTICES is refused before the edges are read.
+    Rejects self-loops, out-of-range endpoints and non-integer counts or
+    endpoints; duplicate edges collapse.  A vertex count outside
+    1..MAX_VERTICES is refused before the edges are read.
     """
-    _check_vertex_count(n)
+    try:
+        n = operator.index(n)
+        _check_vertex_count(n)
+        edges = [tuple(map(operator.index, e)) for e in edges]
+    except TypeError as exc:
+        raise ValueError(f"vertex count and endpoints must be integers: {exc}") from None
     rows = [0] * n
     for a, b in edges:
         if a == b:
@@ -289,45 +299,34 @@ def is_two_colorable(g: Graph):
 
 
 def max_independent_set_size(g: Graph) -> int:
-    """Largest number of pairwise non-adjacent vertices (exhaustive bitmask scan)."""
-    # A mask is independent iff stripping its lowest vertex leaves an
-    # independent mask and that vertex has no neighbour inside the mask.
-    n = g.n
-    best = 0
-    independent = bytearray(1 << n)
-    independent[0] = 1
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        if independent[rest] and not (g.rows[low] & mask):
-            independent[mask] = 1
-            c = mask.bit_count()
-            if c > best:
-                best = c
-    return best
+    """Largest number of pairwise non-adjacent vertices (exhaustive subset sweep).
+
+    One numpy step per vertex v marks the independent subsets of 0..v:
+    ``S | {v}`` is independent iff ``S`` is and v has no neighbour in ``S``.
+    """
+    independent = np.zeros(1 << g.n, dtype=bool)
+    independent[0] = True
+    for v, row in enumerate(g.rows):
+        independent[1 << v:2 << v] = independent[:1 << v] & (np.arange(1 << v) & row == 0)
+    return int(np.bitwise_count(np.flatnonzero(independent)).max())
 
 
 def max_matching_size(g: Graph) -> int:
-    """Maximum number of pairwise vertex-disjoint edges (exhaustive with memo)."""
-    memo: dict[int, int] = {}
-    full = (1 << g.n) - 1
+    """Maximum number of pairwise vertex-disjoint edges (exhaustive subset sweep).
 
-    def rec(used: int) -> int:
-        if used == full:
-            return 0
-        hit = memo.get(used)
-        if hit is not None:
-            return hit
-        free = ~used & full
-        v = (free & -free).bit_length() - 1
-        # Either vertex v stays unmatched, or it pairs with a free neighbour.
-        best = rec(used | (1 << v))
-        for w in bits_of(g.rows[v] & free):
-            best = max(best, 1 + rec(used | (1 << v) | (1 << w)))
-        memo[used] = best
-        return best
-
-    return rec(0)
+    ``best[S]`` is the largest matching inside subset ``S``, filled for the
+    subsets of 0..v one vertex at a time: v stays unmatched, or pairs with a
+    lower neighbour w in ``S`` (one numpy step per such w).
+    """
+    best = np.zeros(1 << g.n, dtype=np.int8)
+    for v, row in enumerate(g.rows):
+        without_v, with_v = best[:1 << v], best[1 << v:2 << v]
+        with_v[:] = without_v
+        for w in bits_of(row & ((1 << v) - 1)):
+            # Axis 1 of the reshape is the bit of w.
+            paired = with_v.reshape(-1, 2, 1 << w)[:, 1]
+            np.maximum(paired, without_v.reshape(-1, 2, 1 << w)[:, 0] + 1, out=paired)
+    return int(best[-1])
 
 
 LC_ORBIT_MAX_VERTICES = 10

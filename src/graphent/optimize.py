@@ -138,8 +138,8 @@ class OptimizerConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.success_tol <= 0:
-            raise ValueError("success_tol must be > 0")
+        if not (math.isfinite(self.success_tol) and self.success_tol > 0):
+            raise ValueError(f"success_tol must be finite and > 0, got {self.success_tol}")
 
 
 @dataclass(frozen=True)

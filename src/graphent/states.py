@@ -76,8 +76,15 @@ class QubitAmplitudePair:
 
     @classmethod
     def from_json(cls, data) -> "QubitAmplitudePair":
-        (xr, xi), (yr, yi) = data
-        return cls(complex(xr, xi), complex(yr, yi))
+        """Inverse of :meth:`to_json`; ``ValueError`` on another shape or a non-finite number."""
+        try:
+            (xr, xi), (yr, yi) = data
+            x, y = complex(xr, xi), complex(yr, yi)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"qubit pair must be [[re, im], [re, im]], got {data!r}") from None
+        if not (cmath.isfinite(x) and cmath.isfinite(y)):
+            raise ValueError(f"qubit pair amplitudes must be finite, got {data!r}")
+        return cls(x, y)
 
 
 def pair_overlap(a: QubitAmplitudePair, b: QubitAmplitudePair) -> complex:
@@ -131,6 +138,9 @@ class ProductState:
 
     @classmethod
     def from_json(cls, data) -> "ProductState":
+        """Inverse of :meth:`to_json`; ``ValueError`` unless a list of qubit pairs."""
+        if not isinstance(data, list):
+            raise ValueError("product state must be a list of qubit pairs")
         return cls(tuple(QubitAmplitudePair.from_json(q) for q in data))
 
 

@@ -81,6 +81,11 @@ class TestExactValue:
         with pytest.raises(CatalogError):
             parse_exact_value("1+log2(5-sqrt5)")
 
+    @pytest.mark.parametrize("text", ["1/0", "1/0*log2(3)", "x"])
+    def test_malformed_rational_rejected(self, text):
+        with pytest.raises(CatalogError):
+            parse_exact_value(text)
+
     def test_negative_total_rejected(self):
         with pytest.raises(CatalogError):
             ExactValue(Fraction(-5), ((Fraction(1), "3"),))
@@ -167,6 +172,21 @@ class TestCatalogIO:
         path = tmp_path / "cat.jsonl"
         path.write_text('{"id": 1, "n": 2, "edges": [[0,0]]}\n')
         with pytest.raises(CatalogError):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"id": 1, "n": 2, "edges": [[0, "x"]]}',
+        '{"id": 1, "n": 2, "edges": [[0.0, 1.0]]}',
+        '{"id": 1, "n": 2.7, "edges": [[0, 1]]}',
+        '{"id": 1, "n": 2, "edges": 5}',
+        '{"id": 1, "n": 2, "graph6": 5}',
+        '{"id": 1, "n": 2, "edges": [[0, 1]], "ps": [1]}',
+        '5',
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, line):
+        path = tmp_path / "cat.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(CatalogError, match=":1"):
             load_catalog(path)
 
     def test_t3_requires_expected(self, tmp_path):

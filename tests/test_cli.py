@@ -182,6 +182,14 @@ class TestCompute:
         assert code == 2 and out == ""
         assert "every restart ended at F = 0" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_success_tol_usage_error(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "cycle:4", "--restarts", "3",
+            "--success-tol", tol)
+        assert code == 2 and out == ""
+        assert "success_tol must be finite" in err
+
     def test_bad_fix_value(self, capsys):
         code, _, err = run_cli(
             capsys, "compute", "--graph6", "A_", "--fix", "0=|2>")
@@ -346,3 +354,17 @@ class TestUsageErrors:
     def test_snap_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "snap", "/no/such/result.json")
         assert code == 2
+
+    @pytest.mark.parametrize("content", [
+        '[1,2]',
+        '{"graph": {"n": 2, "edges": [[0,1]]}, "best_state": [[1,2],[3,4]]}',
+        '{"graph": {"n": 2, "edges": [[0,"x"]]}, '
+        '"best_state": [[[1,0],[0,0]],[[1,0],[0,0]]]}',
+        '{"graph": {"n": 1, "edges": []}, "best_state": [[[NaN,0],[0,0]]]}',
+    ])
+    def test_snap_malformed_file(self, capsys, tmp_path, content):
+        path = tmp_path / "result.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "snap", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("graphent: error: ") and "Traceback" not in err

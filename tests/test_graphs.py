@@ -20,6 +20,7 @@ from graphent import (
     parse_graph6,
 )
 from helpers import (
+    all_labeled_graphs,
     all_pairs,
     oracle_encode_graph6,
     oracle_max_independent_set,
@@ -74,6 +75,18 @@ class TestBuildGraph:
         for _ in range(20):
             g = random_graph(rng, n_max=10)
             assert Graph.from_json_dict(g.to_json_dict()) == g
+
+    @pytest.mark.parametrize("n,edges", [
+        (2.7, []), ("2", []), (2, [(0, "x")]), (2, [(0.0, 1.0)]), (2, [5])])
+    def test_non_integer_input_rejected(self, n, edges):
+        with pytest.raises(ValueError):
+            build_graph(n, edges)
+
+    @pytest.mark.parametrize("d", [{"n": 2.7, "edges": [[0, 1]]}, [2, [[0, 1]]]])
+    def test_malformed_json_rejected(self, d):
+        # a fractional vertex count is refused, not truncated
+        with pytest.raises(ValueError):
+            Graph.from_json_dict(d)
 
 
 class TestGraph6:
@@ -192,25 +205,41 @@ class TestTwoColorable:
             assert (is_two_colorable(g) is not None) == oracle_two_colorable(g)
 
 
+def known_graph(family: str, n: int) -> Graph:
+    """A builtin family, or ``bipartite``: the complete bipartite K_{n/2,n/2}."""
+    if family == "bipartite":
+        h = n // 2
+        return build_graph(n, [(a, h + b) for a in range(h) for b in range(h)])
+    return builtin_family(family, n)
+
+
+def small_graphs(rng, count: int, n_max: int):
+    """Every labelled graph with n <= 5, then ``count`` random ones."""
+    for n in range(1, 6):
+        yield from all_labeled_graphs(n)
+    for _ in range(count):
+        yield random_graph(rng, n_max=n_max)
+
+
 class TestIndependentSetAndMatching:
     @pytest.mark.parametrize("family,n,expect", [
-        ("cycle", 5, 2), ("complete", 5, 1), ("empty", 6, 6)])
+        ("cycle", 5, 2), ("complete", 5, 1), ("empty", 6, 6), ("empty", 1, 1),
+        ("empty", 16, 16), ("complete", 16, 1), ("bipartite", 16, 8)])
     def test_mis_known(self, family, n, expect):
-        assert max_independent_set_size(builtin_family(family, n)) == expect
+        assert max_independent_set_size(known_graph(family, n)) == expect
 
     @pytest.mark.parametrize("family,n,expect", [
-        ("cycle", 5, 2), ("star", 4, 1), ("cycle", 6, 3)])
+        ("cycle", 5, 2), ("star", 4, 1), ("cycle", 6, 3), ("empty", 1, 0),
+        ("empty", 16, 0), ("complete", 16, 8), ("bipartite", 16, 8)])
     def test_matching_known(self, family, n, expect):
-        assert max_matching_size(builtin_family(family, n)) == expect
+        assert max_matching_size(known_graph(family, n)) == expect
 
     def test_mis_matches_oracle(self, rng):
-        for _ in range(150):
-            g = random_graph(rng)
+        for g in small_graphs(rng, 150, n_max=8):
             assert max_independent_set_size(g) == oracle_max_independent_set(g)
 
     def test_matching_matches_oracle(self, rng):
-        for _ in range(100):
-            g = random_graph(rng, n_max=6)
+        for g in small_graphs(rng, 100, n_max=6):
             assert max_matching_size(g) == oracle_max_matching(g)
 
     def test_size_relations(self, rng):

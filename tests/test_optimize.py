@@ -490,7 +490,8 @@ class TestGridOracle:
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         dict(rounds=0), dict(restarts=0), dict(mode="zigzag"),
-        dict(success_tol=0.0), dict(seed=-1)])
+        dict(success_tol=0.0), dict(seed=-1), dict(success_tol=math.nan),
+        dict(success_tol=math.inf)])
     def test_bad_configs(self, kw):
         with pytest.raises(ValueError):
             OptimizerConfig(**kw)
