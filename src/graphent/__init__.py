@@ -11,8 +11,6 @@ from .bounds import (
     bipartite_lower_bound,
     classify,
     locc_upper_bound,
-    subgraph_recursion_bound,
-    subgraphs_by_vertex_deletion,
 )
 from .catalog import (
     ALPHABET_LABELS,
@@ -30,9 +28,7 @@ from .catalog import (
 from .graphs import (
     CapabilityError,
     Graph,
-    are_lc_isomorphic,
     build_graph,
-    delete_vertex,
     encode_graph6,
     is_two_colorable,
     lc_orbit,
@@ -50,16 +46,13 @@ from .optimize import (
     RestartRecord,
     RestartSummary,
     SnapResult,
-    coordinate_update,
     entanglement_from_fidelity,
     initial_state_for_restart,
     measures_from_entanglement,
     optimize,
-    orthogonality_residual,
     presample,
     run_restart,
     snap_to_exact,
-    success_probability,
 )
 from .states import (
     ProductState,
@@ -68,13 +61,11 @@ from .states import (
     apply_lc_unitary,
     fidelity,
     fubini_study_distance,
-    graph_basis_state,
     graph_state_vector,
     overlap,
     partial_overlaps,
     product_state_vector,
     random_product_state,
-    stabilizer_eigencheck,
 )
 
 __version__ = "0.1.0"

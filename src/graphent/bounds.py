@@ -14,10 +14,9 @@ E = 3, but the product state |+++---> reaches F = 1/4, so E <= 2.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
-from .graphs import Graph, delete_vertex, is_two_colorable, max_independent_set_size, max_matching_size
+from .graphs import Graph, is_two_colorable, max_independent_set_size, max_matching_size
 
 
 class BoundsCategory(enum.Enum):
@@ -53,9 +52,6 @@ class BoundsReport:
             "category": self.category.value,
             "lower_bound_method": "matching",
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def format_text(self) -> str:
         lines = [
@@ -96,22 +92,3 @@ def classify(g: Graph) -> BoundsReport:
         upper=upper, lower=lower, equal=equal,
         two_colorable=two_col, category=category,
     )
-
-
-def subgraph_recursion_bound(g: Graph, e_sub) -> float:
-    """Upper bound min_v(e_sub[v] + 1) from single-vertex-deleted subgraphs.
-
-    ``e_sub[v]`` must be the entanglement of the graph with vertex v (and its
-    incident edges) removed; deleting a vertex costs at most one bit.
-    """
-    if g.n == 1:
-        raise ValueError("subgraph recursion needs at least two vertices")
-    e_sub = list(e_sub)
-    if len(e_sub) != g.n:
-        raise ValueError(f"need one subgraph value per vertex, got {len(e_sub)}")
-    return min(float(e) + 1.0 for e in e_sub)
-
-
-def subgraphs_by_vertex_deletion(g: Graph) -> list[Graph]:
-    """The n graphs obtained by deleting each vertex in turn."""
-    return [delete_vertex(g, v) for v in range(g.n)]

@@ -29,6 +29,7 @@ from .optimize import (
     presample,
     run_restart,
     snap_to_exact,
+    usable_cpu_count,
 )
 from .states import ProductState
 
@@ -60,7 +61,7 @@ def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
     opt.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default: $GRAPHENT_SEED or {defaults.seed})")
     opt.add_argument("--success-tol", type=float, default=defaults.success_tol)
-    opt.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    opt.add_argument("--threads", type=int, default=usable_cpu_count())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -82,9 +81,6 @@ class Graph:
                 if bool(self.rows[v] & (1 << w)) != bool(self.rows[w] & (1 << v)):
                     raise ValueError(f"adjacency not symmetric at ({w},{v})")
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def has_edge(self, a: int, b: int) -> bool:
         return bool(self.rows[a] & (1 << b))
 
@@ -103,13 +99,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense n-by-n 0/1 adjacency matrix."""
-        m = np.zeros((self.n, self.n), dtype=np.uint8)
-        for a, b in self.edges():
-            m[a, b] = m[b, a] = 1
-        return m
 
     def is_connected(self) -> bool:
         seen = 1
@@ -260,20 +249,6 @@ def local_complement(g: Graph, a: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove vertex ``v`` and its incident edges, relabelling w > v to w - 1."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    if g.n == 1:
-        raise ValueError("cannot delete the only vertex")
-    edges = [
-        (a - (a > v), b - (b > v))
-        for a, b in g.edges()
-        if v not in (a, b)
-    ]
-    return build_graph(g.n - 1, edges)
-
-
 def is_two_colorable(g: Graph):
     """Proper 2-coloring as a pair of vertex bitmasks, or None if an odd cycle exists.
 
@@ -363,29 +338,3 @@ def lc_orbit(g: Graph, max_graphs: int = LC_ORBIT_DEFAULT_CAP) -> set[Graph]:
                         )
         frontier = nxt
     return seen
-
-
-LC_ISO_MAX_VERTICES = 8
-
-
-def relabel(g: Graph, perm) -> Graph:
-    """Apply a vertex permutation: vertex v becomes perm[v]."""
-    return build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
-
-
-def are_lc_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """True iff some relabelling of ``g2`` lies in the LC orbit of ``g1``.
-
-    Brute force over all n! relabellings; limited to n <= 8.
-    """
-    if g1.n != g2.n:
-        return False
-    if g1.n > LC_ISO_MAX_VERTICES:
-        raise CapabilityError(
-            f"LC isomorphism limited to {LC_ISO_MAX_VERTICES} vertices"
-        )
-    orbit = lc_orbit(g1)
-    for perm in permutations(range(g2.n)):
-        if relabel(g2, perm) in orbit:
-            return True
-    return False

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .states import (
     fidelity,
     fubini_study_distance,
     haar_random_pair,
-    partial_overlaps,
     phase_signs,
 )
 
@@ -425,30 +424,6 @@ def initial_state_for_restart(g: Graph, cfg: OptimizerConfig, index: int) -> Pro
 # ---------------------------------------------------------------------------
 # public operations
 
-def coordinate_update(g: Graph, p: ProductState, j: int) -> ProductState:
-    """Replace qubit j by the fidelity-maximizing pair given all other qubits.
-
-    The new pair is the conjugated, normalized pair of partial overlaps; the
-    fidelity afterwards is |c0|^2 + |c1|^2 >= the fidelity before.  A
-    degenerate coordinate (both partial overlaps zero) leaves the state
-    unchanged, since no choice of qubit j contributes to the overlap.
-    """
-    c0, c1 = partial_overlaps(g, p, j)
-    weight = abs(c0) ** 2 + abs(c1) ** 2
-    if weight < DEGENERATE_EPS:
-        return p
-    return p.replace_qubit(
-        j, QubitAmplitudePair.normalized(c0.conjugate(), c1.conjugate())
-    )
-
-
-def orthogonality_residual(g: Graph, p: ProductState, j: int) -> float:
-    """Fixed-point residual |y_j* c0 - x_j* c1| at coordinate j (0 at optimum)."""
-    c0, c1 = partial_overlaps(g, p, j)
-    q = p.qubits[j]
-    return abs(q.y.conjugate() * c0 - q.x.conjugate() * c1)
-
-
 def run_restart(g: Graph, init: ProductState, cfg: OptimizerConfig) -> RestartRecord:
     """Iterate from one explicit initial state, recording the fidelity trace.
 
@@ -480,6 +455,14 @@ def run_restart(g: Graph, init: ProductState, cfg: OptimizerConfig) -> RestartRe
     )
 
 
+def usable_cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _block_size(n: int, restarts: int, threads: int) -> int:
     size = max(1, _ENGINE_BLOCK_ELEMS >> max(0, n - 1))
     if threads > 1:
@@ -494,12 +477,12 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     stream ``(seed, restart_index)`` and per-restart arithmetic does not
     depend on batching, so the result is identical for any thread count.
     The winner is the maximum final fidelity, ties to the lowest index.
-    ``threads`` must be >= 1 and is clamped to the CPU count.
+    ``threads`` must be >= 1 and is clamped to :func:`usable_cpu_count`.
     """
     cfg = cfg or OptimizerConfig()
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    threads = min(threads, os.cpu_count() or 1)
+    threads = min(threads, usable_cpu_count())
     free = _free_coordinates(g, cfg.fixed)
     block = _block_size(g.n, cfg.restarts, threads)
     starts = list(range(0, cfg.restarts, block))
@@ -587,17 +570,6 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
         histogram=tuple(int(c) for c in counts),
         bin_edges=tuple(float(e) for e in edges),
     )
-
-
-def success_probability(g: Graph, E_ref: float, runs: int,
-                        cfg: OptimizerConfig | None = None,
-                        threads: int = 1) -> float:
-    """Fraction of independent restarts landing within success_tol of E_ref."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    cfg = cfg or OptimizerConfig()
-    res = optimize(g, replace(cfg, restarts=runs), threads=threads)
-    return res.hit_fraction(E_ref, cfg.success_tol)
 
 
 def snap_to_exact(g: Graph, p: ProductState) -> SnapResult:

@@ -24,7 +24,6 @@ import numpy as np
 from .graphs import Graph, bits_of
 
 NORM_TOL = 1e-12
-EIGENCHECK_TOL = 1e-10
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
@@ -50,7 +49,7 @@ class QubitAmplitudePair:
         if self.x == 0 and self.y != 1:
             raise ValueError("gauge violation: x == 0 requires y == 1")
         nrm = abs(self.x) ** 2 + abs(self.y) ** 2
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ValueError(f"|x|^2+|y|^2 = {nrm} is not 1")
 
     @classmethod
@@ -160,12 +159,9 @@ class StateVector:
         if amps.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes, got {amps.shape}")
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {nrm} is not 1")
         object.__setattr__(self, "amplitudes", amps)
-
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @lru_cache(maxsize=128)
@@ -188,40 +184,6 @@ def _scaled_signs(g: Graph) -> np.ndarray:
 def graph_state_vector(g: Graph) -> StateVector:
     """Graph state amplitudes 2**(-n/2) * (-1)**e(mu)."""
     return StateVector(g.n, _scaled_signs(g))
-
-
-def graph_basis_state(g: Graph, k) -> StateVector:
-    """Graph basis state: the graph state with Z applied where k_a = 1."""
-    k = list(k)
-    if len(k) != g.n:
-        raise ValueError(f"bit vector length {len(k)} != n = {g.n}")
-    if any(b not in (0, 1) for b in k):
-        raise ValueError("bit vector entries must be 0 or 1")
-    kmask = sum(b << (g.n - 1 - a) for a, b in enumerate(k))
-    mu = np.arange(1 << g.n, dtype=np.uint32)
-    flips = np.bitwise_count(mu & np.uint32(kmask)).astype(np.int64) & 1
-    amps = graph_state_vector(g).amplitudes * np.where(flips, -1.0, 1.0)
-    return StateVector(g.n, amps)
-
-
-def stabilizer_eigencheck(g: Graph, a: int, s: StateVector):
-    """Eigenvalue of the vertex-a stabilizer X_a Z_{N(a)} on ``s``.
-
-    Returns +1 or -1 when ``s`` is an eigenstate within 1e-10, else None.
-    """
-    if not (0 <= a < g.n):
-        raise ValueError(f"vertex {a} out of range for n={g.n}")
-    if s.n != g.n:
-        raise ValueError("state size does not match graph")
-    n = g.n
-    mu = np.arange(1 << n, dtype=np.uint32)
-    nbmask = np.uint32(sum(1 << (n - 1 - b) for b in bits_of(g.rows[a])))
-    zpar = np.bitwise_count(mu & nbmask).astype(np.int64) & 1
-    applied = s.amplitudes[mu ^ np.uint32(1 << (n - 1 - a))] * np.where(zpar, -1.0, 1.0)
-    for sign in (1, -1):
-        if float(np.max(np.abs(applied - sign * s.amplitudes))) <= EIGENCHECK_TOL:
-            return sign
-    return None
 
 
 def _state_to_row(p: ProductState) -> np.ndarray:
@@ -285,14 +247,10 @@ def product_state_vector(p: ProductState) -> StateVector:
     return StateVector(p.n, _product_weights(_state_to_row(p)[None])[0])
 
 
-def _fsum_complex(values: np.ndarray) -> complex:
-    return complex(math.fsum(values.real), math.fsum(values.imag))
-
-
 def _row_overlap(pm: np.ndarray, row: np.ndarray) -> complex:
     """<G|phi> of one (n, 2) row given :func:`phase_signs`, error-free."""
     terms = pm * _product_weights(row[None])[0]
-    return _fsum_complex(terms) * 2.0 ** (-row.shape[0] / 2)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)) * 2.0 ** (-row.shape[0] / 2)
 
 
 def overlap(g: Graph, p: ProductState) -> complex:
@@ -310,20 +268,18 @@ def fidelity(g: Graph, p: ProductState) -> float:
 def partial_overlaps(g: Graph, p: ProductState, j: int) -> tuple[complex, complex]:
     """Partial derivatives of the overlap with respect to qubit j's amplitudes.
 
-    Returns ``(c0, c1)`` with ``overlap == x_j*c0 + y_j*c1``: c0 sums the
-    basis terms where qubit j is 0, c1 those where it is 1.
+    Returns ``(c0, c1)`` with ``overlap == x_j*c0 + y_j*c1``: c0 is the
+    overlap with qubit j set to |0>, c1 with it set to |1>.
     """
     if p.n != g.n:
         raise ValueError(f"product state has {p.n} qubits, graph has {g.n}")
     if not (0 <= j < g.n):
         raise ValueError(f"qubit {j} out of range for n={g.n}")
-    others = _product_weights(_state_to_row(p)[None], skip=j)[0]
-    # Bare signs: the scale is applied once, after the error-free sum.
-    split = phase_signs(g).reshape(1 << j, 2, -1)
-    scale = 2.0 ** (-g.n / 2)
-    c0 = _fsum_complex(split[:, 0].reshape(-1) * others) * scale
-    c1 = _fsum_complex(split[:, 1].reshape(-1) * others) * scale
-    return c0, c1
+    pm, row = phase_signs(g), _state_to_row(p)
+    row[j] = (1, 0)
+    c0 = _row_overlap(pm, row)
+    row[j] = (0, 1)
+    return c0, _row_overlap(pm, row)
 
 
 _LC_X_FACTOR = np.array([[1, -1j], [-1j, 1]], dtype=np.complex128) / math.sqrt(2)

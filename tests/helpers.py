@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from graphent import Graph, build_graph
+from graphent import Graph, ProductState, QubitAmplitudePair, build_graph, partial_overlaps
+from graphent.optimize import DEGENERATE_EPS
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -170,3 +171,45 @@ def grid_oracle_max_fidelity(g: Graph, steps_quarter: int = 60) -> float:
     det2 = np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) ** 2
     sigma_max2 = (trace + np.sqrt(np.maximum(trace ** 2 - 4 * det2, 0.0))) / 2
     return float(sigma_max2.max())
+
+
+# --- scalar reference implementations ----------------------------------------
+# The engine's batched updates and residuals are checked against the first
+# two; delete_vertex builds the subgraphs of E(G) <= min_v E(G - v) + 1.
+
+def coordinate_update(g: Graph, p: ProductState, j: int) -> ProductState:
+    """Replace qubit j by the fidelity-maximizing pair given all other qubits.
+
+    The new pair is the conjugated, normalized pair of partial overlaps; the
+    fidelity afterwards is |c0|^2 + |c1|^2 >= the fidelity before.  A
+    degenerate coordinate (both partial overlaps zero) leaves the state
+    unchanged, since no choice of qubit j contributes to the overlap.
+    """
+    c0, c1 = partial_overlaps(g, p, j)
+    weight = abs(c0) ** 2 + abs(c1) ** 2
+    if weight < DEGENERATE_EPS:
+        return p
+    return p.replace_qubit(
+        j, QubitAmplitudePair.normalized(c0.conjugate(), c1.conjugate())
+    )
+
+
+def orthogonality_residual(g: Graph, p: ProductState, j: int) -> float:
+    """Fixed-point residual |y_j* c0 - x_j* c1| at coordinate j (0 at optimum)."""
+    c0, c1 = partial_overlaps(g, p, j)
+    q = p.qubits[j]
+    return abs(q.y.conjugate() * c0 - q.x.conjugate() * c1)
+
+
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """Remove vertex ``v`` and its incident edges, relabelling w > v to w - 1."""
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    if g.n == 1:
+        raise ValueError("cannot delete the only vertex")
+    edges = [
+        (a - (a > v), b - (b > v))
+        for a, b in g.edges()
+        if v not in (a, b)
+    ]
+    return build_graph(g.n - 1, edges)

@@ -11,10 +11,8 @@ from graphent import (
     classify,
     locc_upper_bound,
     optimize,
-    subgraph_recursion_bound,
-    subgraphs_by_vertex_deletion,
 )
-from helpers import random_graph
+from helpers import delete_vertex, random_graph
 
 
 class TestBounds:
@@ -84,7 +82,7 @@ class TestClassify:
                 assert r.equal and not r.two_colorable
 
     def test_json_serialization(self):
-        d = json.loads(classify(builtin_family("cycle", 5)).to_json())
+        d = json.loads(json.dumps(classify(builtin_family("cycle", 5)).to_json_dict()))
         assert d["upper"] == 3 and d["lower"] == 2
         assert d["category"] == "T3"
         assert d["lower_bound_method"] == "matching"
@@ -92,6 +90,12 @@ class TestClassify:
     def test_text_report_mentions_settled_value(self):
         text = classify(builtin_family("cycle", 6)).format_text()
         assert "entanglement (settled)   : 3" in text
+
+    def test_report_bounds_rejects_inverted(self):
+        from graphent.bounds import BoundsReport
+        with pytest.raises(ValueError):
+            BoundsReport(upper=1, lower=2, equal=False, two_colorable=False,
+                         category=BoundsCategory.UNEQUAL)
 
 
 class TestBoundsAgainstOptimizer:
@@ -127,28 +131,8 @@ class TestSubgraphRecursion:
     def test_c6_bound_is_tight(self):
         g = builtin_family("cycle", 6)
         cfg = OptimizerConfig(restarts=60, seed=2)
-        e_sub = [optimize(h, cfg).entanglement
-                 for h in subgraphs_by_vertex_deletion(g)]
-        bound = subgraph_recursion_bound(g, e_sub)
+        e_sub = [optimize(delete_vertex(g, v), cfg).entanglement
+                 for v in range(g.n)]
+        bound = min(e_sub) + 1  # deleting a vertex costs at most one bit
         assert abs(bound - 3.0) <= 1e-9  # every deletion leaves P5 with E=2
         assert optimize(g, cfg).entanglement <= bound + 1e-9
-
-    def test_star_bound_loose(self):
-        g = builtin_family("star", 5)
-        # deleting a leaf leaves star_4 with E=1: bound 2 >= true E=1
-        bound = subgraph_recursion_bound(g, [1, 1, 1, 1, 1])
-        assert bound == 2.0
-
-    def test_single_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            subgraph_recursion_bound(builtin_family("empty", 1), [])
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            subgraph_recursion_bound(builtin_family("cycle", 4), [1, 1])
-
-    def test_report_bounds_rejects_inverted(self):
-        from graphent.bounds import BoundsReport
-        with pytest.raises(ValueError):
-            BoundsReport(upper=1, lower=2, equal=False, two_colorable=False,
-                         category=BoundsCategory.UNEQUAL)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -167,6 +168,12 @@ class TestCompute:
         _, out1, _ = run_cli(capsys, *base, "--threads", "1")
         code, out2, _ = run_cli(capsys, *base, "--threads", "1000000")
         assert code == 0 and out1 == out2
+
+    def test_threads_default_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        args = cli.build_parser().parse_args(["compute", "--family", "cycle:5"])
+        assert args.threads == 2
 
     def test_two_sources_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -50,6 +50,12 @@ CASES = {
         "--format", "json"],
     "presample_n12_text": [
         "presample", "--family", "path:12", "--count", "300", "--seed", "1"],
+    "bounds_cycle5": ["bounds", "--family", "cycle:5"],
+    "bounds_k33": ["bounds", "--graph6", "EFz_"],
+    "classify_cycle5": ["classify", "--family", "cycle:5", "--format", "json"],
+    "classify_k33": ["classify", "--graph6", "EFz_", "--format", "json"],
+    "orbit_cycle5": ["orbit", "--family", "cycle:5", "--show"],
+    "orbit_k33": ["orbit", "--graph6", "EFz_", "--show"],
 }
 
 

@@ -1,5 +1,7 @@
 import importlib
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,22 +13,19 @@ from graphent import (
     QubitAmplitudePair,
     build_graph,
     builtin_family,
-    coordinate_update,
     entanglement_from_fidelity,
     fidelity,
     initial_state_for_restart,
     measures_from_entanglement,
     optimize,
-    orthogonality_residual,
     partial_overlaps,
     presample,
     random_product_state,
     run_restart,
     snap_to_exact,
-    success_probability,
 )
 from graphent.catalog import PAIR_PHI
-from graphent.optimize import _gauge_fix_rows
+from graphent.optimize import _gauge_fix_rows, usable_cpu_count
 from graphent.states import (
     PAIR_MINUS,
     PAIR_ONE,
@@ -37,7 +36,12 @@ from graphent.states import (
     _product_weights,
     _scaled_signs,
 )
-from helpers import grid_oracle_max_fidelity, random_graph
+from helpers import (
+    coordinate_update,
+    grid_oracle_max_fidelity,
+    orthogonality_residual,
+    random_graph,
+)
 
 # the package rebinds the name ``optimize`` to the function
 optimize_mod = importlib.import_module("graphent.optimize")
@@ -445,18 +449,42 @@ class TestSnap:
 
 class TestSuccessProbability:
     def test_star3_near_one(self):
-        p = success_probability(builtin_family("star", 3), 1.0, runs=200,
-                                cfg=small_cfg(success_tol=1e-12))
+        cfg = small_cfg(success_tol=1e-12)
+        p = optimize(builtin_family("star", 3), replace(cfg, restarts=200)).hit_fraction(
+            1.0, cfg.success_tol)
         assert p >= 0.99
 
     def test_gross_reference_zero(self):
-        p = success_probability(builtin_family("star", 3), 10.0, runs=50,
-                                cfg=small_cfg())
+        cfg = small_cfg()
+        p = optimize(builtin_family("star", 3), replace(cfg, restarts=50)).hit_fraction(
+            10.0, cfg.success_tol)
         assert p == 0.0
 
-    def test_runs_validated(self):
-        with pytest.raises(ValueError):
-            success_probability(K2, 1.0, runs=0)
+
+class TestUsableCpuCount:
+    def test_counts_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpu_count() == 1
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpu_count() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpu_count() == 1
+
+    def test_optimize_clamps_to_affinity(self, monkeypatch):
+        # one usable CPU: the clamp leaves one thread, so no pool starts
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started on one usable CPU")
+
+        monkeypatch.setattr(optimize_mod, "ThreadPoolExecutor", no_pool)
+        g = builtin_family("cycle", 5)
+        res = optimize(g, small_cfg(restarts=64), threads=8)
+        assert res.best_F == optimize(g, small_cfg(restarts=64)).best_F
 
 
 class TestOrthogonalityResidual:
