@@ -47,8 +47,12 @@ class ExactValue:
         for _, base in self.terms:
             if base not in RADICAL_VALUES:
                 raise CatalogError(f"unknown radical base {base!r}")
-        if exact_value_eval(self) < 0:
-            raise CatalogError("exact value evaluates negative")
+        try:
+            value = exact_value_eval(self)
+        except OverflowError:
+            value = math.inf
+        if not 0 <= value < math.inf:
+            raise CatalogError(f"exact value must evaluate to a finite float >= 0, got {value}")
 
     def __str__(self) -> str:
         parts = [str(self.q0)] if (self.q0 or not self.terms) else []
@@ -193,18 +197,19 @@ def _entry_from_dict(d: dict, where: str) -> CatalogEntry:
         raise CatalogError(f"{where}: entry needs 'edges' or a 'graph6' string")
     try:
         g = build_graph(n, d["edges"]) if "edges" in d else parse_graph6(d["graph6"])
-        ps = float(d["ps"]) if "ps" in d else None
+        expected = parse_exact_value(d["expected"]) if "expected" in d else None
     except (TypeError, ValueError) as exc:
         raise CatalogError(f"{where}: {exc}") from exc
+    if "ps" in d and (type(d["ps"]) not in (int, float) or not 0 <= d["ps"] <= 1):
+        raise CatalogError(f"{where}: 'ps' must be a number in [0, 1], got {d['ps']!r}")
     if g.n != n:
         raise CatalogError(f"{where}: graph6 has {g.n} vertices, 'n' says {n}")
-    expected = parse_exact_value(d["expected"]) if "expected" in d else None
     return CatalogEntry(
         id=str(d["id"]),
         graph=g,
         expected=expected,
         category=d.get("category"),
-        ps_reference=ps,
+        ps_reference=float(d["ps"]) if "ps" in d else None,
         notes=d.get("notes"),
     )
 

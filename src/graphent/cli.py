@@ -34,9 +34,17 @@ from .optimize import (
 from .states import ProductState
 
 
-def _default_seed() -> int:
-    env = os.environ.get("GRAPHENT_SEED")
-    return int(env) if env else OptimizerConfig().seed
+def _seed(args) -> int:
+    """``--seed``, else $GRAPHENT_SEED, else the config default."""
+    source, text = "--seed", args.seed
+    if text is None:
+        source, text = "GRAPHENT_SEED", os.environ.get("GRAPHENT_SEED") or OptimizerConfig().seed
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -142,12 +150,11 @@ def _load_graph(args) -> tuple[Graph, str]:
 
 
 def _config(args) -> OptimizerConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
     return OptimizerConfig(
         rounds=args.rounds,
         restarts=args.restarts,
         mode=args.mode,
-        seed=seed,
+        seed=_seed(args),
         success_tol=args.success_tol,
     )
 
@@ -341,7 +348,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_presample(args) -> int:
     g, source = _load_graph(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     rep = presample(g, args.count, seed=seed)
     payload = {
         "source": source, "n": g.n, "count": rep.count, "seed": seed,

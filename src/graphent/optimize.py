@@ -7,6 +7,11 @@ Bloch-uniform initial states from per-restart RNG streams derived as
 ``(seed, restart_index)``, making results reproducible and independent of
 execution order or thread count.
 
+Restarts stay numpy rows from draw to score: a block's rows are drawn, pinned,
+iterated in place and scored by :func:`_iterate_block`, and only the winner
+becomes a :class:`ProductState`.  :func:`initial_state_for_restart` and
+:func:`run_restart` are one-row wrappers around the same path.
+
 Coordinates can be pinned (never updated) to break correlated update
 equations: the per-round schedule can circle forever on a graph whose
 update equations depend on each other (the Bell pair is the smallest), and
@@ -36,12 +41,12 @@ from .states import (
     _batch_overlaps,
     _batch_partials,
     _kernel_workspace,
+    _random_pairs,
     _row_overlap,
     _scaled_signs,
     _state_to_row,
     fidelity,
     fubini_study_distance,
-    haar_random_pair,
     phase_signs,
 )
 
@@ -295,41 +300,25 @@ def _batch_fidelity(Q: np.ndarray, signs, j0: int, work) -> np.ndarray:
     return f.real ** 2 + f.imag ** 2
 
 
-@dataclass
-class _BlockOutcome:
-    converged: np.ndarray
-    stalled: np.ndarray
-    rounds: np.ndarray
-    degenerate: np.ndarray
-    trace: list[float] | None
-
-
-def _compute_update(hg: np.ndarray):
-    """Fidelity after the step, degeneracy mask, and the gauge-fixed new pairs."""
-    F_new = hg.real[:, 0] ** 2 + hg.imag[:, 0] ** 2 \
-        + hg.real[:, 1] ** 2 + hg.imag[:, 1] ** 2
-    deg = F_new < DEGENERATE_EPS
-    pairs = _gauge_fix_rows(hg.conj() / np.sqrt(np.where(deg, 1.0, F_new))[:, None])
-    return F_new, deg, pairs
-
-
 def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int],
-                   collect_trace: bool = False) -> _BlockOutcome:
-    """Run the fixed-point iteration on a block of restart rows, in place.
+                   first: int = 0, trace: list[float] | None = None):
+    """Run the fixed-point iteration on a block of restart rows, in place, and
+    score each final row.
 
-    Each round updates only the rows still active.  ``collect_trace``
-    records the fidelity after every update of a one-row block.
+    Row i is restart ``first + i``.  Each round updates only the rows still
+    active.  Returns the rows' summaries and degenerate-step counts; a
+    one-row block appends its fidelity after every update to ``trace``.
     """
     R = Q.shape[0]
     signs = _scaled_signs(g)
     work = _kernel_workspace(R, g.n - 1)
+    sequential = cfg.mode == "sequential"
     active = np.ones(R, dtype=bool)
     converged = np.zeros(R, dtype=bool)
     stalled = np.zeros(R, dtype=bool)
     rounds_used = np.zeros(R, dtype=np.int64)
     degenerate = np.zeros(R, dtype=np.int64)
     plateau = np.zeros(R, dtype=np.int64)
-    trace: list[float] | None = [] if collect_trace else None
 
     F_prev = _batch_fidelity(Q, signs, free[0], work)
     best_seen = F_prev.copy()
@@ -340,23 +329,24 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
             break
         rounds_used[live] += 1
         A = Q[live]
-        if cfg.mode == "sequential":
-            F_round = F_prev[live]
-            for j in free:
-                F_new, deg, pairs = _compute_update(_batch_partials(A, signs, j, work))
-                A[~deg, j, :] = pairs[~deg]
-                degenerate[live] += deg
+        # per-round mode reads every partial from the rows as the round began
+        old = A if sequential else A.copy()
+        F_round = F_prev[live]
+        for j in free:
+            hg = _batch_partials(old, signs, j, work)
+            F_new = hg.real[:, 0] ** 2 + hg.imag[:, 0] ** 2 \
+                + hg.real[:, 1] ** 2 + hg.imag[:, 1] ** 2
+            deg = F_new < DEGENERATE_EPS
+            pairs = _gauge_fix_rows(hg.conj() / np.sqrt(np.where(deg, 1.0, F_new))[:, None])
+            A[~deg, j, :] = pairs[~deg]
+            degenerate[live] += deg
+            if sequential:
                 F_round = np.where(deg, F_round, F_new)
-                if collect_trace:
+                if trace is not None:
                     trace.extend(F_round.tolist())
-        else:
-            staged = [(j, _compute_update(_batch_partials(A, signs, j, work)))
-                      for j in free]
-            for j, (_, deg, pairs) in staged:
-                A[~deg, j, :] = pairs[~deg]
-                degenerate[live] += deg
+        if not sequential:
             F_round = _batch_fidelity(A, signs, free[0], work)
-            if collect_trace:
+            if trace is not None:
                 trace.extend(F_round.tolist())
         Q[live] = A
 
@@ -378,7 +368,12 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
             active[rows[done | bad]] = False
         F_prev[live] = F_round
 
-    return _BlockOutcome(converged, stalled, rounds_used, degenerate, trace)
+    del work, signs  # free the kernel arrays before the rescoring allocates its own
+    pm = phase_signs(g)
+    finals = [abs(_row_overlap(pm, row)) ** 2 for row in Q]
+    return [RestartSummary(first + i, F, entanglement_from_fidelity(F) if F > 0 else math.inf,
+                           bool(converged[i]), bool(stalled[i]), int(rounds_used[i]))
+            for i, F in enumerate(finals)], degenerate
 
 
 def _rows_to_state(Q: np.ndarray, r: int) -> ProductState:
@@ -400,25 +395,26 @@ def _free_coordinates(g: Graph, fixed: FixedCoordinateSpec | None) -> list[int]:
     return free
 
 
-def _apply_fixed(pairs: list[QubitAmplitudePair],
-                 fixed: FixedCoordinateSpec | None) -> list[QubitAmplitudePair]:
+def _pin(Q: np.ndarray, fixed: FixedCoordinateSpec | None) -> np.ndarray:
+    """Write the explicit pins into every row of Q, in place; returns Q."""
     if fixed is not None:
         for v, val in fixed.entries:
             if val is not None:
-                pairs[v] = val
-    return pairs
+                Q[:, v] = val.x, val.y
+    return Q
 
 
-def restart_rng(seed: int, index: int) -> np.random.Generator:
-    """Private RNG stream for one restart: stream(seed, restart_index)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+def _restart_rows(g: Graph, cfg: OptimizerConfig, start: int, count: int) -> np.ndarray:
+    """(count, n, 2) initial rows of restarts start, start + 1, ..., pinned;
+    restart i draws its qubits from stream ``(seed, i)``."""
+    rows = [q for i in range(start, start + count) for q in _random_pairs(
+        np.random.default_rng(np.random.SeedSequence((cfg.seed, i))), g.n)]
+    return _pin(np.array(rows, dtype=np.complex128).reshape(count, g.n, 2), cfg.fixed)
 
 
 def initial_state_for_restart(g: Graph, cfg: OptimizerConfig, index: int) -> ProductState:
     """The (Bloch-uniform) initial product state optimize() uses for a restart."""
-    rng = restart_rng(cfg.seed, index)
-    pairs = [haar_random_pair(rng) for _ in range(g.n)]
-    return ProductState(tuple(_apply_fixed(pairs, cfg.fixed)))
+    return _rows_to_state(_restart_rows(g, cfg, index, 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +435,12 @@ def run_restart(g: Graph, init: ProductState, cfg: OptimizerConfig) -> RestartRe
     if init.n != g.n:
         raise ValueError(f"init has {init.n} qubits, graph has {g.n}")
     free = _free_coordinates(g, cfg.fixed)
-    pairs = _apply_fixed(list(init.qubits), cfg.fixed)
-    init = ProductState(tuple(pairs))
-    Q = _state_to_row(init)[None, :, :]
-    out = _iterate_block(g, Q, cfg, free, collect_trace=True)
-    return RestartRecord(
-        init=init,
-        fidelity_trace=tuple(out.trace),
-        final_state=_rows_to_state(Q, 0),
-        final_F=abs(_row_overlap(phase_signs(g), Q[0])) ** 2,
-        converged=bool(out.converged[0]),
-        stalled=bool(out.stalled[0]),
-        degenerate_steps=int(out.degenerate[0]),
-        rounds=int(out.rounds[0]),
-    )
+    Q = _pin(_state_to_row(init)[None], cfg.fixed)
+    init = _rows_to_state(Q, 0)
+    trace: list[float] = []
+    (s,), degenerate = _iterate_block(g, Q, cfg, free, trace=trace)
+    return RestartRecord(init, tuple(trace), _rows_to_state(Q, 0), s.final_F, s.converged,
+                         s.stalled, int(degenerate[0]), s.rounds)
 
 
 def usable_cpu_count() -> int:
@@ -486,26 +474,11 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     free = _free_coordinates(g, cfg.fixed)
     block = _block_size(g.n, cfg.restarts, threads)
     starts = list(range(0, cfg.restarts, block))
-
-    pm = phase_signs(g)
+    phase_signs(g)  # fill its cache here, not in every pool thread at once
 
     def run_span(start: int) -> tuple[list[RestartSummary], np.ndarray]:
-        count = min(block, cfg.restarts - start)
-        Q = np.array([_state_to_row(initial_state_for_restart(g, cfg, start + i))
-                      for i in range(count)])
-        out = _iterate_block(g, Q, cfg, free)
-        summaries = []
-        for i in range(count):
-            F = abs(_row_overlap(pm, Q[i])) ** 2
-            summaries.append(RestartSummary(
-                index=start + i,
-                final_F=F,
-                entanglement=entanglement_from_fidelity(F) if F > 0 else math.inf,
-                converged=bool(out.converged[i]),
-                stalled=bool(out.stalled[i]),
-                rounds=int(out.rounds[i]),
-            ))
-        return summaries, Q
+        Q = _restart_rows(g, cfg, start, min(block, cfg.restarts - start))
+        return _iterate_block(g, Q, cfg, free, start)[0], Q
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

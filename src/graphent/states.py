@@ -59,16 +59,7 @@ class QubitAmplitudePair:
         A subnormal |x| counts as vanishing, as in the engine's row gauge
         fix: x becomes |x| and y becomes 1.
         """
-        nrm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero amplitude pair")
-        x, y = complex(x) / nrm, complex(y) / nrm
-        ax = abs(x)
-        if ax < _SMALLEST_NORMAL:
-            # x* / |x| keeps too few mantissa bits to be a unit phase.
-            return cls(complex(ax, 0.0), 1.0 + 0j)
-        phase = x.conjugate() / ax
-        return cls(complex(ax, 0.0), y * phase)
+        return cls(*_normalized_pair(x, y))
 
     def to_json(self) -> list:
         return [[self.x.real, self.x.imag], [self.y.real, self.y.imag]]
@@ -86,6 +77,19 @@ class QubitAmplitudePair:
         return cls(x, y)
 
 
+def _normalized_pair(x: complex, y: complex) -> tuple[complex, complex]:
+    """The amplitudes :meth:`QubitAmplitudePair.normalized` stores, unchecked."""
+    nrm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
+    if nrm == 0.0:
+        raise ValueError("cannot normalize the zero amplitude pair")
+    x, y = complex(x) / nrm, complex(y) / nrm
+    ax = abs(x)
+    if ax < _SMALLEST_NORMAL:
+        # x* / |x| keeps too few mantissa bits to be a unit phase.
+        return complex(ax, 0.0), 1.0 + 0j
+    return complex(ax, 0.0), y * (x.conjugate() / ax)
+
+
 def pair_overlap(a: QubitAmplitudePair, b: QubitAmplitudePair) -> complex:
     """Single-qubit inner product <a|b>."""
     return a.x.conjugate() * b.x + a.y.conjugate() * b.y
@@ -96,14 +100,23 @@ def fubini_study_distance(a: QubitAmplitudePair, b: QubitAmplitudePair) -> float
     return math.acos(min(1.0, abs(pair_overlap(a, b))))
 
 
+def _random_pairs(rng: np.random.Generator, n: int) -> list[tuple[complex, complex]]:
+    """Amplitudes of n qubits uniform on the Bloch sphere, normalized as
+    :meth:`QubitAmplitudePair.normalized` does, from n draws of four normals.
+
+    A qubit whose four normals are all 0 is drawn again, and the later
+    qubits shift to later draws, as n calls of :func:`haar_random_pair` do.
+    """
+    v = rng.standard_normal((n, 4)).tolist()
+    while [0.0] * 4 in v:
+        v.remove([0.0] * 4)
+        v += rng.standard_normal((1, 4)).tolist()
+    return [_normalized_pair(complex(a, b), complex(c, d)) for a, b, c, d in v]
+
+
 def haar_random_pair(rng: np.random.Generator) -> QubitAmplitudePair:
     """Qubit state uniform on the Bloch sphere."""
-    while True:
-        v = rng.standard_normal(4)
-        if v[0] or v[1] or v[2] or v[3]:
-            return QubitAmplitudePair.normalized(
-                complex(v[0], v[1]), complex(v[2], v[3])
-            )
+    return QubitAmplitudePair(*_random_pairs(rng, 1)[0])
 
 
 PAIR_ZERO = QubitAmplitudePair(1.0 + 0j, 0j)
@@ -144,7 +157,7 @@ class ProductState:
 
 
 def random_product_state(n: int, rng: np.random.Generator) -> ProductState:
-    return ProductState(tuple(haar_random_pair(rng) for _ in range(n)))
+    return ProductState(tuple(QubitAmplitudePair(*q) for q in _random_pairs(rng, n)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,6 +90,16 @@ class TestExactValue:
         with pytest.raises(CatalogError):
             ExactValue(Fraction(-5), ((Fraction(1), "3"),))
 
+    @pytest.mark.parametrize("text", ["1e400", "1e308+1e308", "1e400*log2(3)"])
+    def test_non_finite_total_rejected(self, text, tmp_path):
+        # the first overflowed in float(), the second summed to inf
+        with pytest.raises(CatalogError, match="finite"):
+            parse_exact_value(text)
+        path = tmp_path / "cat.jsonl"
+        path.write_text(f'{{"id": 1, "n": 2, "edges": [[0,1]], "expected": "{text}"}}\n')
+        with pytest.raises(CatalogError, match=":1"):
+            load_catalog(path)
+
 
 class TestAlphabet:
     def test_all_normalized(self):
@@ -188,6 +198,24 @@ class TestCatalogIO:
         path.write_text(line + "\n")
         with pytest.raises(CatalogError, match=":1"):
             load_catalog(path)
+
+    @pytest.mark.parametrize("ps", ["NaN", "-Infinity", "Infinity", "-0.5", "1.5",
+                                    '"0.5"', "true", "null"])
+    def test_ps_must_be_a_probability(self, tmp_path, ps):
+        # json.loads accepts NaN and Infinity; table --format json would then
+        # print them back as invalid JSON
+        path = tmp_path / "cat.jsonl"
+        path.write_text('{"id": 1, "n": 2, "edges": [[0,1]]}\n'
+                        f'{{"id": 2, "n": 2, "edges": [[0,1]], "ps": {ps}}}\n')
+        with pytest.raises(CatalogError, match=":2: 'ps' must be a number in"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("ps", [0, 1, 0.25])
+    def test_ps_in_range_loads_as_float(self, tmp_path, ps):
+        path = tmp_path / "cat.jsonl"
+        path.write_text(f'{{"id": 1, "n": 2, "edges": [[0,1]], "ps": {ps}}}\n')
+        (entry,) = load_catalog(path)
+        assert entry.ps_reference == ps and type(entry.ps_reference) is float
 
     def test_t3_requires_expected(self, tmp_path):
         path = tmp_path / "cat.jsonl"

@@ -50,6 +50,18 @@ class TestCompute:
         _, out_flag, _ = run_cli(capsys, *args, "--seed", "3")
         assert out_env == out_flag
 
+    @pytest.mark.parametrize("env,flag,source", [
+        ("abc", None, "GRAPHENT_SEED"), ("-3", None, "GRAPHENT_SEED"),
+        ("1.5", None, "GRAPHENT_SEED"), ("abc", "-1", "--seed")])
+    @pytest.mark.parametrize("command", ["compute", "presample", "table"])
+    def test_bad_seed_names_its_source(self, capsys, monkeypatch, env, flag, source,
+                                       command):
+        monkeypatch.setenv("GRAPHENT_SEED", env)
+        argv = [command] + (["--family", "cycle:4"] if command != "table" else [])
+        code, out, err = run_cli(capsys, *argv, *(["--seed", flag] if flag else []))
+        assert code == 2 and out == ""
+        assert err.startswith(f"graphent: error: {source} must be a non-negative integer")
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "compute", "--family", "star:3", "--restarts", "10",

@@ -34,6 +34,7 @@ from graphent.states import (
     _batch_partials,
     _kernel_workspace,
     _product_weights,
+    _random_pairs,
     _scaled_signs,
 )
 from helpers import (
@@ -259,6 +260,20 @@ class TestOptimize:
         assert len(built) == 1
         assert fidelity(g, res.best_state) == res.best_F
 
+    def test_only_winner_builds_qubit_pairs(self, monkeypatch):
+        # restarts stay numpy rows from draw to score: the winner's n qubits
+        # are the only QubitAmplitudePairs optimize builds
+        built = []
+        real = QubitAmplitudePair.__post_init__
+        monkeypatch.setattr(QubitAmplitudePair, "__post_init__",
+                            lambda self: built.append(1) or real(self))
+        g = builtin_family("cycle", 6)
+        spec = FixedCoordinateSpec(((0, PAIR_ZERO), (3, None)))
+        for mode in optimize_mod.MODES:
+            built.clear()
+            optimize(g, small_cfg(restarts=64, mode=mode, fixed=spec), threads=2)
+            assert len(built) == g.n
+
     def test_deterministic_bitwise(self):
         g = builtin_family("cycle", 5)
         a = optimize(g, small_cfg())
@@ -292,6 +307,81 @@ class TestOptimize:
         seq = optimize(g, small_cfg(restarts=100))
         rnd = optimize(g, small_cfg(restarts=100, mode="per-round", rounds=150))
         assert abs(seq.best_F - rnd.best_F) <= 1e-12
+
+
+def _old_pairs(rng, n):
+    """n qubits drawn as optimize once drew them: four normals per qubit,
+    drawn again while all four are 0, normalized into a validated pair."""
+    pairs = []
+    for _ in range(n):
+        v = rng.standard_normal(4)
+        while not v.any():
+            v = rng.standard_normal(4)
+        pairs.append(QubitAmplitudePair.normalized(complex(v[0], v[1]), complex(v[2], v[3])))
+    return pairs
+
+
+def _old_restart_row(n, cfg, index):
+    """Restart ``index``'s initial row as optimize once built it: the old
+    per-qubit draws on stream (seed, index), then the explicit pins."""
+    pairs = _old_pairs(np.random.default_rng(np.random.SeedSequence((cfg.seed, index))), n)
+    for v, val in cfg.fixed.entries if cfg.fixed else ():
+        if val is not None:
+            pairs[v] = val
+    return np.array([[q.x, q.y] for q in pairs], dtype=np.complex128)
+
+
+class _ScriptedNormals:
+    """Stands in for a Generator: serves ``values`` in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self, shape):
+        size = int(np.prod(shape))
+        take, self.values = self.values[:size], self.values[size:]
+        return np.array(take).reshape(shape)
+
+
+class TestRestartRows:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_optimize_draws_the_old_rows(self, n, monkeypatch):
+        drawn = []
+        real = optimize_mod._iterate_block
+        monkeypatch.setattr(optimize_mod, "_iterate_block",
+                            lambda g, Q, *a, **kw: drawn.append(Q.copy()) or real(g, Q, *a, **kw))
+        g = builtin_family("path", n) if n > 1 else builtin_family("empty", 1)
+        # n = 2 pins |0>, n = 3 adds |->, n >= 4 also a random pin
+        pins = ((0, PAIR_ZERO), (n - 1, PAIR_MINUS), (n // 2, None))[:n - 1]
+        for fixed in (None, FixedCoordinateSpec(pins) if pins else None):
+            drawn.clear()
+            cfg = OptimizerConfig(restarts=3, rounds=1, seed=11 * n, fixed=fixed)
+            optimize(g, cfg)
+            rows = np.concatenate(drawn)
+            for i in range(cfg.restarts):
+                assert rows[i].tobytes() == _old_restart_row(n, cfg, i).tobytes()
+                assert initial_state_for_restart(g, cfg, i) == ProductState(tuple(
+                    QubitAmplitudePair(x, y) for x, y in _old_restart_row(n, cfg, i)))
+
+    def test_all_zero_draw_is_drawn_again(self):
+        # qubit 1 draws four zeros twice (+0.0, then -0.0); the later qubits
+        # shift to the later draws, as the per-qubit loop gives them
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(4).tolist() + [0.0] * 4 + [-0.0] * 4 \
+            + rng.standard_normal(12).tolist()
+        want = [(q.x, q.y) for q in _old_pairs(_ScriptedNormals(values), 4)]
+        assert _random_pairs(_ScriptedNormals(values), 4) == want
+
+    @pytest.mark.parametrize("mode", ["sequential", "per-round"])
+    def test_run_restart_repeats_optimize_record(self, mode):
+        g = builtin_family("cycle", 5)
+        for fixed in (None, FixedCoordinateSpec(((1, PAIR_ZERO), (3, None)))):
+            cfg = small_cfg(restarts=24, rounds=60, mode=mode, fixed=fixed)
+            res = optimize(g, cfg, threads=2)
+            for r in res.records:
+                rec = run_restart(g, initial_state_for_restart(g, cfg, r.index), cfg)
+                assert (rec.final_F, rec.converged, rec.stalled, rec.rounds) == \
+                    (r.final_F, r.converged, r.stalled, r.rounds)
 
 
 class TestFixedCoordinates:
