@@ -6,9 +6,9 @@ and classical communication); the lower bound is the maximum matching size
 (each matched edge yields a Bell pair across a bipartition).  When the bounds
 meet, the entanglement is settled without any optimization.
 
-The matching count alone is used for the lower bound ("matching" in outputs).
-It is not valid for every graph: K_{3,3} (n = 6) is reported settled at
-E = 3, but the product state |+++---> reaches F = 1/4, so E <= 2.
+The matching count alone is used for the lower bound (LOWER_BOUND_METHOD in
+outputs).  It is not valid for every graph: K_{3,3} (n = 6) is reported
+settled at E = 3, but the product state |+++---> reaches F = 1/4, so E <= 2.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import enum
 from dataclasses import dataclass
 
 from .graphs import Graph, is_two_colorable, max_independent_set_size, max_matching_size
+
+#: Name of the lower-bound method, as reported in JSON and text outputs.
+LOWER_BOUND_METHOD = "matching"
 
 
 class BoundsCategory(enum.Enum):
@@ -50,13 +53,14 @@ class BoundsReport:
             "equal": self.equal,
             "two_colorable": self.two_colorable,
             "category": self.category.value,
-            "lower_bound_method": "matching",
+            "lower_bound_method": LOWER_BOUND_METHOD,
         }
 
     def format_text(self) -> str:
+        lower_label = f"lower bound ({LOWER_BOUND_METHOD})"
         lines = [
             f"upper bound (LOCC)       : {self.upper}",
-            f"lower bound (matching)   : {self.lower}",
+            f"{lower_label:<25}: {self.lower}",
             f"bounds equal             : {'yes' if self.equal else 'no'}",
             f"two-colorable            : {'yes' if self.two_colorable else 'no'}",
             f"category                 : {self.category.value}",

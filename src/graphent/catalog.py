@@ -22,7 +22,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .graphs import Graph, _check_vertex_count, build_graph, parse_graph6
+from .graphs import Graph, _check_vertex_count, _integer, build_graph, parse_graph6
 from .states import PAIR_MINUS, PAIR_PLUS, PAIR_ONE, PAIR_ZERO, QubitAmplitudePair
 
 RADICAL_VALUES = {
@@ -192,10 +192,10 @@ class CatalogEntry:
 def _entry_from_dict(d: dict, where: str) -> CatalogEntry:
     if not isinstance(d, dict) or "id" not in d or "n" not in d:
         raise CatalogError(f"{where}: entry needs 'id' and 'n'")
-    n = d["n"]
     if "edges" not in d and not isinstance(d.get("graph6"), str):
         raise CatalogError(f"{where}: entry needs 'edges' or a 'graph6' string")
     try:
+        n = _integer(d["n"])
         g = build_graph(n, d["edges"]) if "edges" in d else parse_graph6(d["graph6"])
         expected = parse_exact_value(d["expected"]) if "expected" in d else None
     except (TypeError, ValueError) as exc:

@@ -11,19 +11,21 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
-from .bounds import classify
+from .bounds import LOWER_BOUND_METHOD, classify
 from .catalog import builtin_family, exact_value_eval, load_catalog, load_seed_catalog
-from .graphs import CapabilityError, Graph, encode_graph6, lc_orbit, parse_edge_list, parse_graph6
+from .graphs import (LC_ORBIT_DEFAULT_CAP, CapabilityError, Graph, encode_graph6, lc_orbit,
+                     parse_edge_list, parse_graph6)
 from .optimize import (
     FIX_VALUES,
     MODES,
+    SUCCESS_TOL,
     FixedCoordinateSpec,
     OptimizerConfig,
+    entanglement_from_fidelity,
     initial_state_for_restart,
     optimize,
     presample,
@@ -47,8 +49,23 @@ def _seed(args) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
 
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
-    src = p.add_argument_group("graph source (exactly one)")
+def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    defaults = OptimizerConfig()
+    fmt = _parent()
+    fmt.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    seed = _parent()
+    seed.add_argument("--seed", type=int, default=None,
+                      help=f"RNG seed (default: $GRAPHENT_SEED or {defaults.seed})")
+    catalog = _parent()
+    catalog.add_argument("--catalog", metavar="FILE",
+                         help="catalog file (default: the shipped seed catalog)")
+
+    source = _parent(catalog)
+    src = source.add_argument_group("graph source (exactly one)")
     src.add_argument("--family", metavar="NAME:N",
                      help="built-in family, e.g. cycle:5, star:4, path:6")
     src.add_argument("--edges", metavar="FILE",
@@ -56,71 +73,54 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--graph6", metavar="G6", help="graph6 string")
     src.add_argument("--catalog-id", metavar="ID",
                      help="entry id from the catalog (see --catalog)")
-    src.add_argument("--catalog", metavar="FILE",
-                     help="catalog file (default: the shipped seed catalog)")
 
-
-def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
-    defaults = OptimizerConfig()
-    opt = p.add_argument_group("optimizer")
+    optimizer = _parent(seed)
+    opt = optimizer.add_argument_group("optimizer")
     opt.add_argument("--restarts", type=int, default=defaults.restarts)
     opt.add_argument("--rounds", type=int, default=defaults.rounds)
     opt.add_argument("--mode", choices=MODES, default=defaults.mode)
-    opt.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed (default: $GRAPHENT_SEED or {defaults.seed})")
-    opt.add_argument("--success-tol", type=float, default=defaults.success_tol)
     opt.add_argument("--threads", type=int, default=usable_cpu_count())
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphent",
         description="Entanglement of graph states: bounds, iteration, reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="run the closest-product-state search")
-    _add_source_args(p)
-    _add_optimizer_args(p)
+    def command(name, run, help_, *parents):
+        p = sub.add_parser(name, help=help_, parents=[*parents, fmt])
+        p.set_defaults(run=run)
+        return p
+
+    p = command("compute", _cmd_compute, "run the closest-product-state search",
+                source, optimizer)
     p.add_argument("--fix", action="append", default=[], metavar="J=VAL",
                    help="pin qubit J to |0>, |1>, |+>, |-> or random; repeatable")
     p.add_argument("--presample", type=int, default=0, metavar="N",
                    help="evaluate N random states first and report the range")
     p.add_argument("--snap", action="store_true",
                    help="snap the best state to the exact alphabet")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", metavar="FILE", help="also write the JSON result here")
     p.add_argument("--trace-csv", metavar="FILE",
                    help="write the best restart's fidelity trace as CSV")
 
-    for name, help_ in (("bounds", "combinatorial entanglement bounds"),
-                        ("classify", "bounds plus category report")):
-        p = sub.add_parser(name, help=help_)
-        _add_source_args(p)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    command("bounds", _cmd_bounds, "combinatorial entanglement bounds", source)
+    command("classify", _cmd_bounds, "bounds plus category report", source)
 
-    p = sub.add_parser("orbit", help="enumerate the local-complementation orbit")
-    _add_source_args(p)
-    p.add_argument("--max-graphs", type=int, default=200_000)
+    p = command("orbit", _cmd_orbit, "enumerate the local-complementation orbit", source)
+    p.add_argument("--max-graphs", type=int, default=LC_ORBIT_DEFAULT_CAP)
     p.add_argument("--show", action="store_true", help="list orbit members as graph6")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p = sub.add_parser("presample", help="fidelity range over random product states")
-    _add_source_args(p)
+    p = command("presample", _cmd_presample, "fidelity range over random product states",
+                source, seed)
     p.add_argument("--count", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p = sub.add_parser("table", help="run the whole catalog and report per entry")
-    p.add_argument("--catalog", metavar="FILE",
-                   help="catalog file (default: the shipped seed catalog)")
-    _add_optimizer_args(p)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    command("table", _cmd_table, "run the whole catalog and report per entry",
+            catalog, optimizer)
 
-    p = sub.add_parser("snap", help="snap a saved compute result to exact states")
+    p = command("snap", _cmd_snap, "snap a saved compute result to exact states")
     p.add_argument("result", metavar="RESULT.json",
                    help="file written by 'compute --output'")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return parser
 
 
@@ -155,7 +155,6 @@ def _config(args) -> OptimizerConfig:
         restarts=args.restarts,
         mode=args.mode,
         seed=_seed(args),
-        success_tol=args.success_tol,
     )
 
 
@@ -214,7 +213,7 @@ def _cmd_compute(args) -> int:
     if args.presample:
         pres = presample(g, args.presample, seed=cfg.seed)
 
-    success = result.hit_fraction(result.entanglement, cfg.success_tol)
+    success = result.hit_fraction(result.entanglement, SUCCESS_TOL)
     hits = round(success * len(result.records))
     report = classify(g)
 
@@ -224,7 +223,7 @@ def _cmd_compute(args) -> int:
     payload["mode"] = cfg.mode
     payload["rounds"] = cfg.rounds
     payload["success_fraction"] = success
-    payload["success_tol"] = cfg.success_tol
+    payload["success_tol"] = SUCCESS_TOL
     payload["bounds"] = report.to_json_dict()
     payload["stalled_restarts"] = result.stalled_count()
     if pres is not None:
@@ -251,7 +250,7 @@ def _cmd_compute(args) -> int:
                 f"{k}={v:.15g}" for k, v in sorted(result.measures.items())),
             f"fix used              : {result.fix_used or 'none'}",
             f"P_s                   : {success:.3f} "
-            f"({hits}/{len(result.records)} restarts within {cfg.success_tol:g} of E)",
+            f"({hits}/{len(result.records)} restarts within {SUCCESS_TOL:g} of E)",
             f"stalled restarts      : {result.stalled_count()}",
         ]
         if pres is not None:
@@ -294,7 +293,7 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _cmd_bounds(args, with_category: bool) -> int:
+def _cmd_bounds(args) -> int:
     g, source = _load_graph(args)
     report = classify(g)
     payload = report.to_json_dict()
@@ -302,11 +301,12 @@ def _cmd_bounds(args, with_category: bool) -> int:
     payload["n"] = g.n
 
     def text() -> str:
-        if with_category:
+        if args.command == "classify":
             return f"graph: {source} (n={g.n})\n" + report.format_text()
+        lower_label = f"lower bound ({LOWER_BOUND_METHOD})"
         base = (f"graph: {source} (n={g.n})\n"
                 f"upper bound (LOCC)     : {report.upper}\n"
-                f"lower bound (matching) : {report.lower}")
+                f"{lower_label:<23}: {report.lower}")
         if report.equal:
             base += f"\nentanglement (settled) : {report.upper}"
         return base
@@ -395,7 +395,7 @@ def _cmd_table(args) -> int:
             "id": e.id, "n": e.graph.n,
             "upper": report.upper, "lower": report.lower,
             "entanglement": result.entanglement,
-            "ps": result.hit_fraction(ref, cfg.success_tol),
+            "ps": result.hit_fraction(ref, SUCCESS_TOL),
             "expected": expected,
             "delta": abs(result.entanglement - expected)
             if expected is not None else None,
@@ -437,12 +437,13 @@ def _cmd_snap(args) -> int:
     g = Graph.from_json_dict(saved["graph"])
     state = ProductState.from_json(saved["best_state"])
     snap = snap_to_exact(g, state)
+    E = entanglement_from_fidelity(snap.fidelity) if snap.fidelity > 0 else None
     payload = {
         "description": snap.description,
         "labels": list(snap.labels),
         "refused": list(snap.refused),
         "fidelity": snap.fidelity,
-        "entanglement": -math.log2(snap.fidelity) if snap.fidelity > 0 else None,
+        "entanglement": E,
         "state": snap.snapped.to_json(),
     }
 
@@ -451,8 +452,8 @@ def _cmd_snap(args) -> int:
             f"snapped   : {snap.description}",
             f"fidelity  : {snap.fidelity:.15g}",
         ]
-        if snap.fidelity > 0:
-            lines.append(f"E         : {-math.log2(snap.fidelity):.15g}")
+        if E is not None:
+            lines.append(f"E         : {E:.15g}")
         if snap.refused:
             lines.append(f"refused   : qubits {list(snap.refused)} "
                          "outside the exact alphabet")
@@ -476,28 +477,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args, with_category=False)
-        if args.command == "classify":
-            return _cmd_bounds(args, with_category=True)
-        if args.command == "orbit":
-            return _cmd_orbit(args)
-        if args.command == "presample":
-            return _cmd_presample(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "snap":
-            return _cmd_snap(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except CapabilityError as exc:
         print(f"graphent: capability exceeded: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"graphent: error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -35,6 +35,13 @@ def _check_vertex_count(n: int) -> None:
         raise CapabilityError(f"graphs limited to {MAX_VERTICES} vertices, got n={n}")
 
 
+def _integer(x) -> int:
+    """``operator.index`` that also refuses ``bool``: JSON's true is not a count."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 def bits_of(mask: int) -> list[int]:
     """Vertices contained in a bitmask, in increasing order."""
     out = []
@@ -130,9 +137,9 @@ def build_graph(n: int, edges) -> Graph:
     1..MAX_VERTICES is refused before the edges are read.
     """
     try:
-        n = operator.index(n)
+        n = _integer(n)
         _check_vertex_count(n)
-        edges = [tuple(map(operator.index, e)) for e in edges]
+        edges = [tuple(map(_integer, e)) for e in edges]
     except TypeError as exc:
         raise ValueError(f"vertex count and endpoints must be integers: {exc}") from None
     rows = [0] * n
@@ -173,10 +180,7 @@ def parse_graph6(text: str) -> Graph:
         # Multi-byte vertex counts encode n > 62, beyond this library's range.
         raise CapabilityError("graph6 input has more than 62 vertices")
     n = codes[0] - 63
-    if n < 1:
-        raise ValueError("graph6 with zero vertices not supported")
-    if n > MAX_VERTICES:
-        raise CapabilityError(f"graph6 input has {n} vertices, limit {MAX_VERTICES}")
+    _check_vertex_count(n)
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
     body = codes[1:]

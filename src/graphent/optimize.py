@@ -17,6 +17,9 @@ equations: the per-round schedule can circle forever on a graph whose
 update equations depend on each other (the Bell pair is the smallest), and
 pinning one qubit restores convergence.  The sequential schedule reaches
 the same optima unpinned.
+
+E = -log2 F comes only from :func:`entanglement_from_fidelity`.  A restart is
+a success when its E is within :data:`SUCCESS_TOL` of the reported E.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ STALL_RESIDUAL = 1e-6
 # from any critical point (those restarts stall instead).
 CONVERGENCE_EPS = 1e-16
 CONVERGED_RESIDUAL = 1e-8
+
+SUCCESS_TOL = 1e-14  # the paper's precision for E
 
 DEGENERATE_EPS = 1e-300
 SNAP_MAX_DISTANCE = 0.05
@@ -130,7 +135,6 @@ class OptimizerConfig:
     restarts: int = 1000
     mode: str = "sequential"
     seed: int = 0
-    success_tol: float = 1e-14
     fixed: FixedCoordinateSpec | None = None
 
     def __post_init__(self):
@@ -142,8 +146,6 @@ class OptimizerConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not (math.isfinite(self.success_tol) and self.success_tol > 0):
-            raise ValueError(f"success_tol must be finite and > 0, got {self.success_tol}")
 
 
 @dataclass(frozen=True)
@@ -172,14 +174,7 @@ class RestartSummary:
     rounds: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "final_F": self.final_F,
-            "entanglement": self.entanglement,
-            "converged": self.converged,
-            "stalled": self.stalled,
-            "rounds": self.rounds,
-        }
+        return self.__dict__.copy()
 
 
 @dataclass(frozen=True)
@@ -240,12 +235,13 @@ class SnapResult:
 
 
 def entanglement_from_fidelity(F: float) -> float:
-    """E = -log2(F) in bits; rejects non-positive or clearly invalid F."""
+    """E = -log2(F) in bits (+0.0 at F >= 1); rejects non-positive or clearly invalid F."""
     if F <= 0.0:
         raise ValueError(f"fidelity must be positive, got {F}")
     if F > 1.0 + 1e-9:
         raise ValueError(f"fidelity must be <= 1, got {F}")
-    return -math.log2(min(F, 1.0))
+    # 0.0 - x is -x for every x != 0, and +0.0 (not -0.0) for x = 0
+    return 0.0 - math.log2(min(F, 1.0))
 
 
 def measures_from_entanglement(E: float) -> dict:
@@ -493,7 +489,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     if best.final_F <= 0.0:
         raise ValueError("every restart ended at F = 0: the pinned qubits make "
                          "the product state orthogonal to the graph state")
-    E = max(0.0, entanglement_from_fidelity(best.final_F))
+    E = entanglement_from_fidelity(best.final_F)
     return OptimizationResult(
         best_F=best.final_F,
         entanglement=E,

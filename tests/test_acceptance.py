@@ -61,9 +61,8 @@ def test_criterion_1_c5_exact_value():
 
 @report("2", "C5 success probability >= 0.9 at tol 1e-12 over 1000 restarts")
 def test_criterion_2_c5_success_probability():
-    cfg = ge.OptimizerConfig(restarts=1000, rounds=150, seed=21,
-                             success_tol=1e-12)
-    p = ge.optimize(C5, cfg).hit_fraction(E_RING5, cfg.success_tol)
+    cfg = ge.OptimizerConfig(restarts=1000, rounds=150, seed=21)
+    p = ge.optimize(C5, cfg).hit_fraction(E_RING5, 1e-12)
     ref = next(e.ps_reference for e in ge.load_seed_catalog() if e.id == "8")
     print(f"    measured P_s = {p:.3f} (catalog reference: {ref})")
     assert p >= 0.9

@@ -191,6 +191,9 @@ class TestCatalogIO:
         '{"id": 1, "n": 2, "edges": 5}',
         '{"id": 1, "n": 2, "graph6": 5}',
         '{"id": 1, "n": 2, "edges": [[0, 1]], "ps": [1]}',
+        '{"id": 1, "n": true, "edges": []}',
+        '{"id": 1, "n": 2, "edges": [[true, false]]}',
+        '{"id": 2, "n": 5.0, "graph6": "D??"}',
         '5',
     ])
     def test_malformed_entry_rejected(self, tmp_path, line):

@@ -201,13 +201,33 @@ class TestCompute:
         assert code == 2 and out == ""
         assert "every restart ended at F = 0" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    # On the empty graph F rounds to 1 (or just above): E reads 0, never -0.
+    def test_zero_entanglement_json_has_no_negative_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--family", "empty:1",
+                               "--restarts", "5", "--format", "json")
+        assert code == 0
+        summary = json.loads(out)["restarts_summary"]
+        assert "-0.0" not in json.dumps(summary)
+        assert all(math.copysign(1.0, r["entanglement"]) == 1.0 for r in summary)
+
+    # The success tolerance is the constant optimize.SUCCESS_TOL: the flag is gone.
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e-12"])
     def test_non_finite_success_tol_usage_error(self, capsys, tol):
         code, out, err = run_cli(
             capsys, "compute", "--family", "cycle:4", "--restarts", "3",
             "--success-tol", tol)
         assert code == 2 and out == ""
-        assert "success_tol must be finite" in err
+        assert "--success-tol" in err
+
+    def test_snap_zero_entanglement(self, capsys, tmp_path):
+        result_file = tmp_path / "r.json"
+        code, _, _ = run_cli(capsys, "compute", "--family", "empty:1", "--restarts", "5",
+                             "--snap", "--output", str(result_file))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "snap", str(result_file))
+        assert code == 0 and "E         : 0\n" in out
+        code, out, _ = run_cli(capsys, "snap", str(result_file), "--format", "json")
+        assert code == 0 and '"entanglement": 0.0' in out
 
     def test_bad_fix_value(self, capsys):
         code, _, err = run_cli(
@@ -359,6 +379,13 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("command", ["compute", "bounds", "classify", "orbit",
+                                         "presample", "table", "snap"])
+    def test_subcommand_help(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: graphent {command}") and "--format" in out
+
     def test_unknown_flag(self, capsys):
         assert main(["bounds", "--family", "cycle:4", "--wat"]) == 2
 
@@ -380,6 +407,8 @@ class TestUsageErrors:
         '{"graph": {"n": 2, "edges": [[0,"x"]]}, '
         '"best_state": [[[1,0],[0,0]],[[1,0],[0,0]]]}',
         '{"graph": {"n": 1, "edges": []}, "best_state": [[[NaN,0],[0,0]]]}',
+        '{"graph": {"n": 2, "edges": [[true, false]]}, '
+        '"best_state": [[[1,0],[0,0]],[[1,0],[0,0]]]}',
     ])
     def test_snap_malformed_file(self, capsys, tmp_path, content):
         path = tmp_path / "result.json"

@@ -18,6 +18,8 @@ from graphent.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACE = "{trace}"
+# A saved 'compute --output' result, kept fixed: the snap cases read it.
+SNAP_INPUT = str(GOLDEN / "snap_cycle5.result.json")
 
 CASES = {
     "compute_snap_presample": [
@@ -56,6 +58,24 @@ CASES = {
     "classify_k33": ["classify", "--graph6", "EFz_", "--format", "json"],
     "orbit_cycle5": ["orbit", "--family", "cycle:5", "--show"],
     "orbit_k33": ["orbit", "--graph6", "EFz_", "--show"],
+    "bounds_path6_json": ["bounds", "--family", "path:6", "--format", "json"],
+    "bounds_path6_csv": ["bounds", "--family", "path:6", "--format", "csv"],
+    "classify_star4_text": ["classify", "--family", "star:4"],
+    "classify_cycle5_csv": ["classify", "--family", "cycle:5", "--format", "csv"],
+    "orbit_path4_json": ["orbit", "--family", "path:4", "--show", "--format", "json"],
+    "orbit_path4_csv": ["orbit", "--family", "path:4", "--show", "--format", "csv"],
+    "orbit_cycle6_text": ["orbit", "--family", "cycle:6"],
+    "presample_csv": [
+        "presample", "--family", "star:5", "--count", "2000", "--seed", "4",
+        "--format", "csv"],
+    "table_text": [
+        "table", "--restarts", "20", "--rounds", "40", "--seed", "9", "--threads", "1"],
+    "table_csv": [
+        "table", "--restarts", "20", "--rounds", "40", "--seed", "9",
+        "--threads", "1", "--format", "csv"],
+    "snap_text": ["snap", SNAP_INPUT],
+    "snap_json": ["snap", SNAP_INPUT, "--format", "json"],
+    "snap_csv": ["snap", SNAP_INPUT, "--format", "csv"],
 }
 
 

@@ -76,7 +76,8 @@ class TestBuildGraph:
             assert Graph.from_json_dict(g.to_json_dict()) == g
 
     @pytest.mark.parametrize("n,edges", [
-        (2.7, []), ("2", []), (2, [(0, "x")]), (2, [(0.0, 1.0)]), (2, [5])])
+        (2.7, []), ("2", []), (2, [(0, "x")]), (2, [(0.0, 1.0)]), (2, [5]),
+        (True, []), (2, [(True, False)])])
     def test_non_integer_input_rejected(self, n, edges):
         with pytest.raises(ValueError):
             build_graph(n, edges)
