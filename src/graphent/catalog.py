@@ -204,8 +204,15 @@ def _entry_from_dict(d: dict, where: str) -> CatalogEntry:
         raise CatalogError(f"{where}: 'ps' must be a number in [0, 1], got {d['ps']!r}")
     if g.n != n:
         raise CatalogError(f"{where}: graph6 has {g.n} vertices, 'n' says {n}")
+    try:
+        ident = d["id"] if isinstance(d["id"], str) else str(_integer(d["id"]))
+    except TypeError:
+        raise CatalogError(
+            f"{where}: 'id' must be a string or an integer, got {d['id']!r}") from None
+    if not isinstance(d.get("notes", ""), str):
+        raise CatalogError(f"{where}: 'notes' must be a string, got {d['notes']!r}")
     return CatalogEntry(
-        id=str(d["id"]),
+        id=ident,
         graph=g,
         expected=expected,
         category=d.get("category"),

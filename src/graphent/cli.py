@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .bounds import LOWER_BOUND_METHOD, classify
 from .catalog import builtin_family, exact_value_eval, load_catalog, load_seed_catalog
@@ -124,6 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _catalog(args) -> list:
+    return load_catalog(args.catalog) if args.catalog else load_seed_catalog()
+
+
 def _load_graph(args) -> tuple[Graph, str]:
     picked = [x for x in ("family", "edges", "graph6", "catalog_id")
               if getattr(args, x, None)]
@@ -142,8 +147,7 @@ def _load_graph(args) -> tuple[Graph, str]:
             return parse_edge_list(fh.read()), args.edges
     if args.graph6:
         return parse_graph6(args.graph6), args.graph6
-    entries = load_catalog(args.catalog) if args.catalog else load_seed_catalog()
-    for e in entries:
+    for e in _catalog(args):
         if e.id == args.catalog_id:
             return e.graph, f"catalog:{e.id}"
     raise ValueError(f"catalog id {args.catalog_id!r} not found")
@@ -180,24 +184,41 @@ def _csv_string(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit(args, text_fn, json_dict, csv_fn) -> None:
-    out = sys.stdout
-    if args.format == "json":
-        out.write(json.dumps(json_dict, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        out.write(csv_fn())
+def _emit(fmt, payload, text, header, rows) -> None:
+    """Print a command's report once, in the chosen format."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        sys.stdout.write(_csv_string(header, rows))
     else:
-        out.write(text_fn() + "\n")
+        sys.stdout.write(text + "\n")
 
 
-def _warn_if_stalled(result, where: str = "") -> None:
-    """One stderr line when the reported E comes from a stalled restart."""
+def _evaluate(g: Graph, cfg: OptimizerConfig, threads: int, where: str = ""):
+    """Bounds and search for one graph, with one stderr line when the
+    reported E comes from a stalled restart."""
+    report = classify(g)
+    result = optimize(g, cfg, threads=threads)
     if result.records[result.best_index].stalled:
         print(f"graphent: warning: {where}E comes from a stalled restart and is "
               "not at a critical point; try --mode sequential", file=sys.stderr)
+    return report, result
 
 
-def _cmd_compute(args) -> int:
+def _snap_dict(snap) -> dict:
+    return {
+        "description": snap.description,
+        "labels": list(snap.labels),
+        "refused": list(snap.refused),
+        "fidelity": snap.fidelity,
+        "state": snap.snapped.to_json(),
+    }
+
+
+# Each command returns its whole report as (JSON payload, text, CSV header,
+# CSV rows); main prints it only once the command has succeeded.
+
+def _cmd_compute(args):
     g, source = _load_graph(args)
     cfg = _config(args)
     fixed = _parse_fix(args.fix)
@@ -205,17 +226,19 @@ def _cmd_compute(args) -> int:
         cfg = replace(cfg, fixed=fixed)
     if args.presample < 0:
         raise ValueError(f"--presample must be >= 0, got {args.presample}")
+    for path in (args.output, args.trace_csv):
+        if path:  # refuse an unwritable path before the search, and change no file
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                os.remove(path)
 
-    result = optimize(g, cfg, threads=args.threads)
-    _warn_if_stalled(result)
-
+    report, result = _evaluate(g, cfg, args.threads)
     pres = None
     if args.presample:
         pres = presample(g, args.presample, seed=cfg.seed)
-
     success = result.hit_fraction(result.entanglement, SUCCESS_TOL)
     hits = round(success * len(result.records))
-    report = classify(g)
 
     payload = result.to_json_dict(g)
     payload["source"] = source
@@ -229,124 +252,84 @@ def _cmd_compute(args) -> int:
     if pres is not None:
         payload["presample"] = {"count": pres.count, "min_F": pres.min_F,
                                 "max_F": pres.max_F}
+
+    lines = [
+        f"graph                 : {source} (n={g.n}, {g.edge_count()} edges)",
+        f"bounds upper/lower    : {report.upper} / {report.lower}"
+        f" ({report.category.value})",
+        f"entanglement E        : {result.entanglement:.15g}",
+        f"best fidelity F       : {result.best_F:.15g}",
+        "measures              : " + ", ".join(
+            f"{k}={v:.15g}" for k, v in sorted(result.measures.items())),
+        f"fix used              : {result.fix_used or 'none'}",
+        f"P_s                   : {success:.3f} "
+        f"({hits}/{len(result.records)} restarts within {SUCCESS_TOL:g} of E)",
+        f"stalled restarts      : {result.stalled_count()}",
+    ]
+    if pres is not None:
+        lines.append(f"presample F range     : [{pres.min_F:.6g}, {pres.max_F:.6g}]"
+                     f" over {pres.count} samples")
+    lines.append("best state            : " + "  ".join(
+        f"q{k}=({q.x.real:+.6f}{q.x.imag:+.6f}i, {q.y.real:+.6f}{q.y.imag:+.6f}i)"
+        for k, q in enumerate(result.best_state.qubits)))
     if args.snap:
         snap = snap_to_exact(g, result.best_state)
-        payload["snapped_state"] = {
-            "labels": list(snap.labels),
-            "description": snap.description,
-            "fidelity": snap.fidelity,
-            "refused": list(snap.refused),
-            "state": snap.snapped.to_json(),
-        }
+        payload["snapped_state"] = _snap_dict(snap)
+        lines.append(f"snapped               : {snap.description}  F={snap.fidelity:.15g}")
+        if snap.refused:
+            lines.append(f"snap refused qubits   : {list(snap.refused)}")
 
-    def text() -> str:
-        lines = [
-            f"graph                 : {source} (n={g.n}, {g.edge_count()} edges)",
-            f"bounds upper/lower    : {report.upper} / {report.lower}"
-            f" ({report.category.value})",
-            f"entanglement E        : {result.entanglement:.15g}",
-            f"best fidelity F       : {result.best_F:.15g}",
-            "measures              : " + ", ".join(
-                f"{k}={v:.15g}" for k, v in sorted(result.measures.items())),
-            f"fix used              : {result.fix_used or 'none'}",
-            f"P_s                   : {success:.3f} "
-            f"({hits}/{len(result.records)} restarts within {SUCCESS_TOL:g} of E)",
-            f"stalled restarts      : {result.stalled_count()}",
-        ]
-        if pres is not None:
-            lines.append(
-                f"presample F range     : [{pres.min_F:.6g}, {pres.max_F:.6g}]"
-                f" over {pres.count} samples")
-        lines.append("best state            : " + "  ".join(
-            f"q{k}=({q.x.real:+.6f}{q.x.imag:+.6f}i, {q.y.real:+.6f}{q.y.imag:+.6f}i)"
-            for k, q in enumerate(result.best_state.qubits)))
-        if args.snap:
-            snap_d = payload["snapped_state"]
-            lines.append(f"snapped               : {snap_d['description']}"
-                         f"  F={snap_d['fidelity']:.15g}")
-            if snap_d["refused"]:
-                lines.append(f"snap refused qubits   : {snap_d['refused']}")
-        return "\n".join(lines)
-
-    def as_csv() -> str:
-        return _csv_string(
+    if args.output:
+        Path(args.output).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    if args.trace_csv:
+        record = run_restart(
+            g, initial_state_for_restart(g, cfg, result.best_index), cfg)
+        Path(args.trace_csv).write_text(_csv_string(
+            ["update", "fidelity"],
+            ((i, f"{f:.17g}") for i, f in enumerate(record.fidelity_trace))))
+    return (payload, "\n".join(lines),
             ["source", "n", "upper", "lower", "entanglement", "best_F",
              "success_fraction", "stalled", "fix_used"],
             [[source, g.n, report.upper, report.lower,
               f"{result.entanglement:.17g}", f"{result.best_F:.17g}",
-              f"{success:.6f}", result.stalled_count(), result.fix_used or ""]],
-        )
-
-    _emit(args, text, payload, as_csv)
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-    if args.trace_csv:
-        record = run_restart(
-            g, initial_state_for_restart(g, cfg, result.best_index), cfg)
-        with open(args.trace_csv, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["update", "fidelity"])
-            writer.writerows(
-                (i, f"{f:.17g}") for i, f in enumerate(record.fidelity_trace))
-    return 0
+              f"{success:.6f}", result.stalled_count(), result.fix_used or ""]])
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     g, source = _load_graph(args)
     report = classify(g)
     payload = report.to_json_dict()
     payload["source"] = source
     payload["n"] = g.n
 
-    def text() -> str:
-        if args.command == "classify":
-            return f"graph: {source} (n={g.n})\n" + report.format_text()
+    text = f"graph: {source} (n={g.n})\n"
+    if args.command == "classify":
+        text += report.format_text()
+    else:
         lower_label = f"lower bound ({LOWER_BOUND_METHOD})"
-        base = (f"graph: {source} (n={g.n})\n"
-                f"upper bound (LOCC)     : {report.upper}\n"
-                f"{lower_label:<23}: {report.lower}")
+        text += (f"upper bound (LOCC)     : {report.upper}\n"
+                 f"{lower_label:<23}: {report.lower}")
         if report.equal:
-            base += f"\nentanglement (settled) : {report.upper}"
-        return base
-
-    def as_csv() -> str:
-        return _csv_string(
+            text += f"\nentanglement (settled) : {report.upper}"
+    return (payload, text,
             ["source", "n", "upper", "lower", "equal", "two_colorable", "category"],
             [[source, g.n, report.upper, report.lower,
-              report.equal, report.two_colorable, report.category.value]],
-        )
-
-    _emit(args, text, payload, as_csv)
-    return 0
+              report.equal, report.two_colorable, report.category.value]])
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args):
     g, source = _load_graph(args)
     orbit = lc_orbit(g, max_graphs=args.max_graphs)
-    members = sorted(encode_graph6(h) for h in orbit)
     payload = {"source": source, "n": g.n, "orbit_size": len(orbit)}
-    if args.show:
-        payload["members"] = members
-
-    def text() -> str:
-        out = f"graph: {source} (n={g.n})\norbit size: {len(orbit)}"
-        if args.show:
-            out += "\n" + "\n".join(members)
-        return out
-
-    def as_csv() -> str:
-        if args.show:
-            return _csv_string(["graph6"], [[m] for m in members])
-        return _csv_string(["source", "n", "orbit_size"],
-                           [[source, g.n, len(orbit)]])
-
-    _emit(args, text, payload, as_csv)
-    return 0
+    text = f"graph: {source} (n={g.n})\norbit size: {len(orbit)}"
+    if not args.show:
+        return payload, text, ["source", "n", "orbit_size"], [[source, g.n, len(orbit)]]
+    members = sorted(encode_graph6(h) for h in orbit)
+    payload["members"] = members
+    return payload, text + "\n" + "\n".join(members), ["graph6"], [[m] for m in members]
 
 
-def _cmd_presample(args) -> int:
+def _cmd_presample(args):
     g, source = _load_graph(args)
     seed = _seed(args)
     rep = presample(g, args.count, seed=seed)
@@ -355,40 +338,26 @@ def _cmd_presample(args) -> int:
         "min_F": rep.min_F, "max_F": rep.max_F,
         "histogram": list(rep.histogram), "bin_edges": list(rep.bin_edges),
     }
-
-    def text() -> str:
-        lines = [
-            f"graph: {source} (n={g.n})",
-            f"samples : {rep.count}",
-            f"min F   : {rep.min_F:.12g}",
-            f"max F   : {rep.max_F:.12g}",
-            "histogram (nonzero bins):",
-        ]
-        for i, c in enumerate(rep.histogram):
-            if c:
-                lines.append(
-                    f"  [{rep.bin_edges[i]:.3f}, {rep.bin_edges[i+1]:.3f})  {c}")
-        return "\n".join(lines)
-
-    def as_csv() -> str:
-        return _csv_string(
-            ["bin_lo", "bin_hi", "count"],
+    lines = [
+        f"graph: {source} (n={g.n})",
+        f"samples : {rep.count}",
+        f"min F   : {rep.min_F:.12g}",
+        f"max F   : {rep.max_F:.12g}",
+        "histogram (nonzero bins):",
+    ]
+    lines += [f"  [{rep.bin_edges[i]:.3f}, {rep.bin_edges[i+1]:.3f})  {c}"
+              for i, c in enumerate(rep.histogram) if c]
+    return (payload, "\n".join(lines), ["bin_lo", "bin_hi", "count"],
             [[f"{rep.bin_edges[i]:.6f}", f"{rep.bin_edges[i+1]:.6f}", c]
-             for i, c in enumerate(rep.histogram)],
-        )
-
-    _emit(args, text, payload, as_csv)
-    return 0
+             for i, c in enumerate(rep.histogram)])
 
 
-def _cmd_table(args) -> int:
-    entries = load_catalog(args.catalog) if args.catalog else load_seed_catalog()
+def _cmd_table(args):
+    entries = _catalog(args)
     cfg = _config(args)
     rows = []
     for e in entries:
-        report = classify(e.graph)
-        result = optimize(e.graph, cfg, threads=args.threads)
-        _warn_if_stalled(result, f"entry {e.id}: ")
+        report, result = _evaluate(e.graph, cfg, args.threads, f"entry {e.id}: ")
         expected = exact_value_eval(e.expected) if e.expected is not None else None
         ref = expected if expected is not None else result.entanglement
         rows.append({
@@ -403,32 +372,24 @@ def _cmd_table(args) -> int:
             "ps_reference": e.ps_reference,
         })
 
-    def text() -> str:
-        head = (f"{'id':>8} {'n':>3} {'E_u':>4} {'E_l':>4} "
-                f"{'E':>18} {'P_s':>6} {'expected':>18} {'|delta|':>9}")
-        lines = [head, "-" * len(head)]
-        for r in rows:
-            exp = f"{r['expected']:.12f}" if r["expected"] is not None else "-"
-            dlt = f"{r['delta']:.2e}" if r["delta"] is not None else "-"
-            lines.append(
-                f"{r['id']:>8} {r['n']:>3} {r['upper']:>4} {r['lower']:>4} "
-                f"{r['entanglement']:>18.12f} {r['ps']:>6.3f} {exp:>18} {dlt:>9}")
-        return "\n".join(lines)
-
-    def as_csv() -> str:
-        return _csv_string(
+    head = (f"{'id':>8} {'n':>3} {'E_u':>4} {'E_l':>4} "
+            f"{'E':>18} {'P_s':>6} {'expected':>18} {'|delta|':>9}")
+    lines = [head, "-" * len(head)]
+    for r in rows:
+        exp = f"{r['expected']:.12f}" if r["expected"] is not None else "-"
+        dlt = f"{r['delta']:.2e}" if r["delta"] is not None else "-"
+        lines.append(
+            f"{r['id']:>8} {r['n']:>3} {r['upper']:>4} {r['lower']:>4} "
+            f"{r['entanglement']:>18.12f} {r['ps']:>6.3f} {exp:>18} {dlt:>9}")
+    return ({"entries": rows, "seed": cfg.seed}, "\n".join(lines),
             ["id", "n", "upper", "lower", "entanglement", "ps", "expected", "delta"],
             [[r["id"], r["n"], r["upper"], r["lower"],
               f"{r['entanglement']:.17g}", f"{r['ps']:.6f}",
               "" if r["expected"] is None else f"{r['expected']:.17g}",
-              "" if r["delta"] is None else f"{r['delta']:.3e}"] for r in rows],
-        )
-
-    _emit(args, text, {"entries": rows, "seed": cfg.seed}, as_csv)
-    return 0
+              "" if r["delta"] is None else f"{r['delta']:.3e}"] for r in rows])
 
 
-def _cmd_snap(args) -> int:
+def _cmd_snap(args):
     with open(args.result) as fh:
         saved = json.load(fh)
     if not isinstance(saved, dict):
@@ -438,36 +399,20 @@ def _cmd_snap(args) -> int:
     state = ProductState.from_json(saved["best_state"])
     snap = snap_to_exact(g, state)
     E = entanglement_from_fidelity(snap.fidelity) if snap.fidelity > 0 else None
-    payload = {
-        "description": snap.description,
-        "labels": list(snap.labels),
-        "refused": list(snap.refused),
-        "fidelity": snap.fidelity,
-        "entanglement": E,
-        "state": snap.snapped.to_json(),
-    }
 
-    def text() -> str:
-        lines = [
-            f"snapped   : {snap.description}",
-            f"fidelity  : {snap.fidelity:.15g}",
-        ]
-        if E is not None:
-            lines.append(f"E         : {E:.15g}")
-        if snap.refused:
-            lines.append(f"refused   : qubits {list(snap.refused)} "
-                         "outside the exact alphabet")
-        return "\n".join(lines)
-
-    def as_csv() -> str:
-        return _csv_string(
+    lines = [
+        f"snapped   : {snap.description}",
+        f"fidelity  : {snap.fidelity:.15g}",
+    ]
+    if E is not None:
+        lines.append(f"E         : {E:.15g}")
+    if snap.refused:
+        lines.append(f"refused   : qubits {list(snap.refused)} "
+                     "outside the exact alphabet")
+    return ({**_snap_dict(snap), "entanglement": E}, "\n".join(lines),
             ["qubit", "label", "x", "y"],
             [[k, lab or "?", f"{q.x:.12g}", f"{q.y:.12g}"]
-             for k, (lab, q) in enumerate(zip(snap.labels, snap.snapped.qubits))],
-        )
-
-    _emit(args, text, payload, as_csv)
-    return 0
+             for k, (lab, q) in enumerate(zip(snap.labels, snap.snapped.qubits))])
 
 
 def main(argv=None) -> int:
@@ -477,7 +422,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        _emit(args.format, *args.run(args))
+        return 0
     except CapabilityError as exc:
         print(f"graphent: capability exceeded: {exc}", file=sys.stderr)
         return 1

@@ -202,6 +202,28 @@ class TestCatalogIO:
         with pytest.raises(CatalogError, match=":1"):
             load_catalog(path)
 
+    # An id is a JSON string or integer, and notes are a string.
+    @pytest.mark.parametrize("line", [
+        '{"id": null, "n": 2, "edges": [[0, 1]]}',
+        '{"id": [1], "n": 2, "edges": [[0, 1]]}',
+        '{"id": {"a": 1}, "n": 2, "edges": [[0, 1]]}',
+        '{"id": 1.5, "n": 2, "edges": [[0, 1]]}',
+        '{"id": true, "n": 2, "edges": [[0, 1]]}',
+        '{"id": 1, "n": 2, "edges": [[0, 1]], "notes": {"x": [1, 2]}}',
+        '{"id": 1, "n": 2, "edges": [[0, 1]], "notes": 3}',
+    ])
+    def test_id_and_notes_types(self, tmp_path, line):
+        path = tmp_path / "cat.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(CatalogError, match=":1: "):
+            load_catalog(path)
+
+    def test_string_and_integer_ids(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        path.write_text('{"id": 7, "n": 2, "edges": [[0, 1]], "notes": "bell"}\n'
+                        '{"id": "seven", "n": 1, "edges": []}\n')
+        assert [e.id for e in load_catalog(path)] == ["7", "seven"]
+
     @pytest.mark.parametrize("ps", ["NaN", "-Infinity", "Infinity", "-0.5", "1.5",
                                     '"0.5"', "true", "null"])
     def test_ps_must_be_a_probability(self, tmp_path, ps):

@@ -234,6 +234,45 @@ class TestCompute:
             capsys, "compute", "--graph6", "A_", "--fix", "0=|2>")
         assert code == 2 and "--fix" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--snap", "--presample", "500")])
+    def test_output_file_matches_json_stdout(self, capsys, tmp_path, extra):
+        result_file = tmp_path / "r.json"
+        code, out, _ = run_cli(
+            capsys, "compute", "--family", "cycle:5", "--restarts", "6", "--seed", "2",
+            "--format", "json", "--output", str(result_file), *extra)
+        assert code == 0 and result_file.read_text() == out
+
+    # Output paths are opened before the search: a bad one costs no work and
+    # prints nothing.
+    @pytest.mark.parametrize("flag,path", [("--output", "/nonexistent/dir/r.json"),
+                                           ("--trace-csv", "/nonexistent/t.csv")])
+    def test_unwritable_output_refused_before_search(self, capsys, monkeypatch,
+                                                     flag, path):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(cli, "optimize", no_search)
+        code, out, err = run_cli(capsys, "compute", "--family", "cycle:5",
+                                 "--restarts", "4", flag, path)
+        assert code == 2 and out == ""
+        assert err.startswith("graphent: error: ") and path in err
+
+    def test_failed_search_creates_no_output_file(self, capsys, tmp_path):
+        # the path check must not leave an empty file when the search then fails
+        result_file = tmp_path / "r.json"
+        code, out, err = run_cli(capsys, "compute", "--family", "empty:2", "--fix", "0=|->",
+                                 "--restarts", "3", "--output", str(result_file))
+        assert code == 2 and out == "" and "every restart ended at F = 0" in err
+        assert not result_file.exists()
+
+    def test_refused_trace_path_leaves_output_file_alone(self, capsys, tmp_path):
+        result_file = tmp_path / "r.json"
+        result_file.write_text("old\n")
+        code, out, _ = run_cli(capsys, "compute", "--family", "cycle:5", "--restarts", "4",
+                               "--output", str(result_file),
+                               "--trace-csv", "/nonexistent/t.csv")
+        assert code == 2 and out == ""
+        assert result_file.read_text() == "old\n"
+
 
 class TestBoundsAndClassify:
     def test_cycle7_bounds(self, capsys):
@@ -347,6 +386,15 @@ class TestTable:
         assert out.strip().splitlines()[1].startswith("bell,2,1,1,")
 
 
+    @pytest.mark.parametrize("field", ['"id": null', '"id": 1.5', '"id": 1, "notes": [1]'])
+    def test_bad_catalog_usage_error(self, capsys, tmp_path, field):
+        path = tmp_path / "cat.jsonl"
+        path.write_text(f'{{{field}, "n": 2, "edges": [[0,1]]}}\n')
+        code, out, err = run_cli(capsys, "table", "--catalog", str(path),
+                                 "--restarts", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("graphent: error: ") and ":1:" in err
+
     def test_stalled_winner_warns_per_entry(self, capsys, tmp_path):
         path = tmp_path / "cat.jsonl"
         path.write_text('{"id": "e", "n": 6, "graph6": "E?Fw"}\n')
@@ -385,6 +433,21 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, command, "--help")
         assert code == 0
         assert out.startswith(f"usage: graphent {command}") and "--format" in out
+
+    # A command prints only when it succeeds.
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--restarts", "4"),
+        ("bounds", "--format", "json"),
+        ("classify", "--family", "cycle", "--format", "csv"),
+        ("orbit", "--family", "cycle:4", "--max-graphs", "0"),
+        ("presample", "--family", "cycle:4", "--count", "0"),
+        ("table", "--catalog", "/no/such/cat.jsonl", "--restarts", "4"),
+        ("snap", "/no/such/result.json", "--format", "json"),
+    ], ids=lambda argv: argv[0])
+    def test_failure_leaves_stdout_empty(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (1, 2) and out == ""
+        assert err.startswith("graphent: ")
 
     def test_unknown_flag(self, capsys):
         assert main(["bounds", "--family", "cycle:4", "--wat"]) == 2
