@@ -22,6 +22,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from .bounds import BoundsCategory
 from .graphs import Graph, _check_vertex_count, _integer, build_graph, parse_graph6
 from .states import PAIR_MINUS, PAIR_PLUS, PAIR_ONE, PAIR_ZERO, QubitAmplitudePair
 
@@ -153,7 +154,7 @@ def builtin_family(name: str, n: int) -> Graph:
     return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
-CATEGORY_CODES = ("T1", "T2", "T3")
+CATEGORY_CODES = tuple(c.value for c in BoundsCategory)
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,9 @@ def _cmd_compute(args):
         cfg = replace(cfg, fixed=fixed)
     if args.presample < 0:
         raise ValueError(f"--presample must be >= 0, got {args.presample}")
+    if args.output and args.trace_csv and \
+            os.path.realpath(args.output) == os.path.realpath(args.trace_csv):
+        raise ValueError(f"--output and --trace-csv name the same file: {args.output}")
     for path in (args.output, args.trace_csv):
         if path:  # refuse an unwritable path before the search, and change no file
             existed = os.path.exists(path)

@@ -38,12 +38,13 @@ from .states import (
     PAIR_ONE,
     PAIR_PLUS,
     PAIR_ZERO,
-    _SMALLEST_NORMAL,
     ProductState,
     QubitAmplitudePair,
-    _batch_overlaps,
+    _batch_fidelity,
     _batch_partials,
+    _gauge_fix_rows,  # noqa: F401 -- re-exported: the gauge fix stays importable here
     _kernel_workspace,
+    _normalized_rows,
     _random_pairs,
     _row_overlap,
     _scaled_signs,
@@ -75,8 +76,8 @@ DEGENERATE_EPS = 1e-300
 SNAP_MAX_DISTANCE = 0.05
 
 _ENGINE_BLOCK_ELEMS = 1 << 21
-# presample draws in chunks whose (chunk, 2**n) weight array has at most this
-# many elements, so its memory does not grow with the sample count.
+# presample draws in chunks whose (chunk, 2**n) array of signed terms has at
+# most this many elements, so its memory does not grow with the sample count.
 _PRESAMPLE_ELEMS = 1 << 16
 
 # Named pin values; ``random`` keeps each restart's own draw for the qubit.
@@ -263,23 +264,6 @@ def measures_from_entanglement(E: float) -> dict:
 # ---------------------------------------------------------------------------
 # batched iteration engine
 
-def _gauge_fix_rows(pairs: np.ndarray) -> np.ndarray:
-    """Vectorized gauge fix: first amplitude real >= 0; second 1 when it vanishes.
-
-    A subnormal |x| counts as vanishing: numpy divides x / |x| through 1/|x|,
-    which overflows.
-    """
-    x = pairs[:, 0]
-    ax = np.abs(x)
-    nz = ax >= _SMALLEST_NORMAL
-    phase = np.ones_like(x)
-    phase[nz] = x[nz].conj() / ax[nz]
-    out = pairs * phase[:, None]
-    out[:, 0] = ax
-    out[~nz, 1] = 1.0
-    return out
-
-
 def _batch_residuals(Q: np.ndarray, signs, free, work) -> np.ndarray:
     """Max fixed-point residual |y* c0 - x* c1| over free coordinates, per row."""
     res = np.zeros(Q.shape[0])
@@ -288,12 +272,6 @@ def _batch_residuals(Q: np.ndarray, signs, free, work) -> np.ndarray:
         r = np.abs(Q[:, j, 1].conj() * hg[:, 0] - Q[:, j, 0].conj() * hg[:, 1])
         res = np.maximum(res, r)
     return res
-
-
-def _batch_fidelity(Q: np.ndarray, signs, j0: int, work) -> np.ndarray:
-    hg = _batch_partials(Q, signs, j0, work)
-    f = Q[:, j0, 0] * hg[:, 0] + Q[:, j0, 1] * hg[:, 1]
-    return f.real ** 2 + f.imag ** 2
 
 
 def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int],
@@ -333,8 +311,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
             F_new = hg.real[:, 0] ** 2 + hg.imag[:, 0] ** 2 \
                 + hg.real[:, 1] ** 2 + hg.imag[:, 1] ** 2
             deg = F_new < DEGENERATE_EPS
-            pairs = _gauge_fix_rows(hg.conj() / np.sqrt(np.where(deg, 1.0, F_new))[:, None])
-            A[~deg, j, :] = pairs[~deg]
+            A[~deg, j, :] = _normalized_rows(hg[~deg].conj())
             degenerate[live] += deg
             if sequential:
                 F_round = np.where(deg, F_round, F_new)
@@ -403,9 +380,9 @@ def _pin(Q: np.ndarray, fixed: FixedCoordinateSpec | None) -> np.ndarray:
 def _restart_rows(g: Graph, cfg: OptimizerConfig, start: int, count: int) -> np.ndarray:
     """(count, n, 2) initial rows of restarts start, start + 1, ..., pinned;
     restart i draws its qubits from stream ``(seed, i)``."""
-    rows = [q for i in range(start, start + count) for q in _random_pairs(
-        np.random.default_rng(np.random.SeedSequence((cfg.seed, i))), g.n)]
-    return _pin(np.array(rows, dtype=np.complex128).reshape(count, g.n, 2), cfg.fixed)
+    rows = [_random_pairs(np.random.default_rng(np.random.SeedSequence((cfg.seed, i))), g.n)
+            for i in range(start, start + count)]
+    return _pin(np.stack(rows), cfg.fixed)
 
 
 def initial_state_for_restart(g: Graph, cfg: OptimizerConfig, index: int) -> ProductState:
@@ -504,8 +481,9 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
 def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
     """Fidelity of ``count`` random product states, without any iteration.
 
-    Uses a single RNG stream; intended to bracket the plausible fidelity
-    range before running the full search.
+    Uses a single RNG stream, drawn qubit by qubit as a restart draws its
+    rows; intended to bracket the plausible fidelity range before running
+    the full search.
     """
     if count < 1:
         raise ValueError(f"presample count must be >= 1, got {count}")
@@ -517,18 +495,12 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
     min_F, max_F = math.inf, -math.inf
     chunk = max(1, _PRESAMPLE_ELEMS >> n)
     signs = _scaled_signs(g)
-    work = _kernel_workspace(chunk, n)
+    work = _kernel_workspace(chunk, n - 1)
     remaining = count
     while remaining:
         m = min(chunk, remaining)
         remaining -= m
-        v = rng.standard_normal((m, n, 2, 2))
-        q = v[..., 0] + 1j * v[..., 1]
-        norms = np.sqrt((q.real ** 2 + q.imag ** 2).sum(axis=2, keepdims=True))
-        degenerate = norms == 0.0
-        q = np.where(degenerate, 1.0, q) / np.where(degenerate, 1.0, norms)
-        f = _batch_overlaps(signs, q, work)
-        F = f.real ** 2 + f.imag ** 2
+        F = _batch_fidelity(_random_pairs(rng, m * n).reshape(m, n, 2), signs, 0, work)
         min_F = min(min_F, float(F.min()))
         max_F = max(max_F, float(F.max()))
         counts += np.histogram(np.clip(F, 0.0, 1.0), bins=edges)[0]

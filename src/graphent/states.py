@@ -54,12 +54,10 @@ class QubitAmplitudePair:
 
     @classmethod
     def normalized(cls, x: complex, y: complex) -> "QubitAmplitudePair":
-        """Normalize and gauge-fix arbitrary (x, y) amplitudes.
-
-        A subnormal |x| counts as vanishing, as in the engine's row gauge
-        fix: x becomes |x| and y becomes 1.
-        """
-        return cls(*_normalized_pair(x, y))
+        """Normalize and gauge-fix arbitrary (x, y) amplitudes, as
+        :func:`_normalized_rows` does every pair the package makes."""
+        x, y = _normalized_rows(np.array([[x, y]], dtype=np.complex128))[0]
+        return cls(x, y)
 
     def to_json(self) -> list:
         return [[self.x.real, self.x.imag], [self.y.real, self.y.imag]]
@@ -77,17 +75,34 @@ class QubitAmplitudePair:
         return cls(x, y)
 
 
-def _normalized_pair(x: complex, y: complex) -> tuple[complex, complex]:
-    """The amplitudes :meth:`QubitAmplitudePair.normalized` stores, unchecked."""
-    nrm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
-    if nrm == 0.0:
+def _gauge_fix_rows(pairs: np.ndarray) -> np.ndarray:
+    """Vectorized gauge fix: first amplitude real >= 0; second 1 when it vanishes.
+
+    A subnormal |x| counts as vanishing: numpy divides x / |x| through 1/|x|,
+    which overflows, and x* / |x| would keep too few mantissa bits to be a
+    unit phase.
+    """
+    x = pairs[:, 0]
+    ax = np.abs(x)
+    nz = ax >= _SMALLEST_NORMAL
+    phase = np.ones_like(x)
+    phase[nz] = x[nz].conj() / ax[nz]
+    out = pairs * phase[:, None]
+    out[:, 0] = ax
+    out[~nz, 1] = 1.0
+    return out
+
+
+def _normalized_rows(q: np.ndarray) -> np.ndarray:
+    """(R, 2) amplitude pairs scaled to unit norm, then gauge-fixed.
+
+    The squared norm sums re x, im x, re y, im y squared in that order, as the
+    engine sums its updated fidelity.  ``ValueError`` on a pair of norm 0.
+    """
+    norm2 = q.real[:, 0] ** 2 + q.imag[:, 0] ** 2 + q.real[:, 1] ** 2 + q.imag[:, 1] ** 2
+    if not norm2.all():
         raise ValueError("cannot normalize the zero amplitude pair")
-    x, y = complex(x) / nrm, complex(y) / nrm
-    ax = abs(x)
-    if ax < _SMALLEST_NORMAL:
-        # x* / |x| keeps too few mantissa bits to be a unit phase.
-        return complex(ax, 0.0), 1.0 + 0j
-    return complex(ax, 0.0), y * (x.conjugate() / ax)
+    return _gauge_fix_rows(q / np.sqrt(norm2)[:, None])
 
 
 def pair_overlap(a: QubitAmplitudePair, b: QubitAmplitudePair) -> complex:
@@ -100,18 +115,18 @@ def fubini_study_distance(a: QubitAmplitudePair, b: QubitAmplitudePair) -> float
     return math.acos(min(1.0, abs(pair_overlap(a, b))))
 
 
-def _random_pairs(rng: np.random.Generator, n: int) -> list[tuple[complex, complex]]:
-    """Amplitudes of n qubits uniform on the Bloch sphere, normalized as
-    :meth:`QubitAmplitudePair.normalized` does, from n draws of four normals.
+def _random_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 2) amplitudes of n qubits uniform on the Bloch sphere, from n draws
+    of four normals (re x, im x, re y, im y), by :func:`_normalized_rows`.
 
     A qubit whose four normals are all 0 is drawn again, and the later
     qubits shift to later draws, as n calls of :func:`haar_random_pair` do.
     """
-    v = rng.standard_normal((n, 4)).tolist()
-    while [0.0] * 4 in v:
-        v.remove([0.0] * 4)
-        v += rng.standard_normal((1, 4)).tolist()
-    return [_normalized_pair(complex(a, b), complex(c, d)) for a, b, c, d in v]
+    v = rng.standard_normal((n, 4))
+    while not v.any(axis=1).all():
+        kept = v[v.any(axis=1)]
+        v = np.concatenate((kept, rng.standard_normal((n - len(kept), 4))))
+    return _normalized_rows(v.view(np.complex128))
 
 
 def haar_random_pair(rng: np.random.Generator) -> QubitAmplitudePair:
@@ -231,28 +246,26 @@ def _product_weights(Q: np.ndarray, skip: int | None = None, work=None) -> np.nd
 
 def _batch_partials(Q: np.ndarray, signs: np.ndarray, j: int, work=None) -> np.ndarray:
     """(R, 2) partial-overlap pairs of coordinate j for every row of Q, given
-    the :func:`_scaled_signs` vector."""
-    work = work or _kernel_workspace(Q.shape[0], Q.shape[1] - 1)
+    the :func:`_scaled_signs` vector.
+
+    Qubit j's axis is outermost in the signed terms, so each partial is one
+    contiguous plain sum, whose rounding does not depend on the batch.
+    """
+    R = Q.shape[0]
+    work = work or _kernel_workspace(R, Q.shape[1] - 1)
     s = signs.reshape(1 << j, 2, -1)  # (qubits before j, qubit j, qubits after j)
-    w = _product_weights(Q, skip=j, work=work)
-    w = w.reshape(w.shape[0], *s[:, 0].shape)
-    # The sum rounds in the memory order of the terms, so that order is fixed:
-    # qubit j's axis is outermost for j = 0 and innermost otherwise.
-    terms = work[1][:2 * w.size]
-    if j == 0:
-        terms = terms.reshape(w.shape[0], 2, -1).transpose(0, 2, 1)
-    else:
-        terms = terms.reshape(w.shape[0], -1, 2)
-    for b in (0, 1):
-        np.multiply(w, s[:, b], out=terms.reshape(*w.shape, 2)[..., b])
-    return terms.sum(axis=1)
+    w = _product_weights(Q, skip=j, work=work).reshape(R, 1, *s[:, 0].shape)
+    terms = work[1][:2 * w.size].reshape(R, 2, *s[:, 0].shape)
+    np.multiply(w, s.transpose(1, 0, 2), out=terms)
+    return terms.reshape(R, 2, -1).sum(axis=2)
 
 
-def _batch_overlaps(signs: np.ndarray, Q: np.ndarray, work) -> np.ndarray:
-    """(R,) overlaps <G|phi> of every row of Q, by plain summation, given the
-    :func:`_scaled_signs` vector."""
-    w = _product_weights(Q, work=work)
-    return np.multiply(w, signs[None, :], out=work[1][:w.size].reshape(w.shape)).sum(axis=1)
+def _batch_fidelity(Q: np.ndarray, signs: np.ndarray, j: int, work=None) -> np.ndarray:
+    """(R,) fidelities |<G|phi>|**2 of every row of Q, by plain summation,
+    contracted through the partials of coordinate j."""
+    hg = _batch_partials(Q, signs, j, work)
+    f = Q[:, j, 0] * hg[:, 0] + Q[:, j, 1] * hg[:, 1]
+    return f.real ** 2 + f.imag ** 2
 
 
 def product_state_vector(p: ProductState) -> StateVector:

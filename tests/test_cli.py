@@ -264,6 +264,20 @@ class TestCompute:
         assert code == 2 and out == "" and "every restart ended at F = 0" in err
         assert not result_file.exists()
 
+    def test_same_output_and_trace_path_refused(self, capsys, monkeypatch, tmp_path):
+        # the trace would replace the result; the paths are compared after
+        # resolving links, before any search, and no file is made
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(cli, "optimize", no_search)
+        (tmp_path / "link").symlink_to(tmp_path)
+        code, out, err = run_cli(capsys, "compute", "--family", "cycle:4", "--restarts", "3",
+                                 "--output", str(tmp_path / "same.out"),
+                                 "--trace-csv", str(tmp_path / "link" / "same.out"))
+        assert code == 2 and out == ""
+        assert "name the same file" in err
+        assert not (tmp_path / "same.out").exists()
+
     def test_refused_trace_path_leaves_output_file_alone(self, capsys, tmp_path):
         result_file = tmp_path / "r.json"
         result_file.write_text("old\n")

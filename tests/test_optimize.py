@@ -119,9 +119,9 @@ class TestCoordinateUpdate:
     def test_shared_workspace_is_bit_identical(self, rng):
         # the kernel reads coordinate j from a view of the sign vector; it must
         # equal, bit for bit, the plain product and sum over the explicit
-        # (2**(n-1), 2) matrix of coordinate j (rows: the other qubits in
-        # order; column-major for j = 0, which matters for n >= 9), with a
-        # shared workspace holding more rows than used or a fresh one
+        # (2, 2**(n-1)) matrix of coordinate j (columns: the other qubits in
+        # order; each row of terms summed as one contiguous run), with a shared
+        # workspace holding more rows than used or a fresh one
         for n in (1, 2, 3, 6, 9, 12, 16):
             g = random_graph(rng, n=n)
             signs = _scaled_signs(g)
@@ -129,9 +129,9 @@ class TestCoordinateUpdate:
             for rows in (9, 4, 1):
                 Q = rng.normal(size=(rows, g.n, 2)) + 1j * rng.normal(size=(rows, g.n, 2))
                 for j in range(g.n):
-                    mat = np.moveaxis(signs.reshape((2,) * n), j, -1).reshape(-1, 2)
+                    mat = np.moveaxis(signs.reshape((2,) * n), j, 0).reshape(2, -1)
                     w = _product_weights(Q, skip=j)
-                    plain = (w[:, :, None] * mat[None, :, :]).sum(axis=1)
+                    plain = np.ascontiguousarray(w[:, None, :] * mat[None, :, :]).sum(axis=2)
                     assert np.array_equal(_batch_partials(Q, signs, j, work), plain)
                     assert np.array_equal(_batch_partials(Q, signs, j), plain)
 
@@ -368,8 +368,8 @@ class TestRestartRows:
         rng = np.random.default_rng(5)
         values = rng.standard_normal(4).tolist() + [0.0] * 4 + [-0.0] * 4 \
             + rng.standard_normal(12).tolist()
-        want = [(q.x, q.y) for q in _old_pairs(_ScriptedNormals(values), 4)]
-        assert _random_pairs(_ScriptedNormals(values), 4) == want
+        want = np.array([(q.x, q.y) for q in _old_pairs(_ScriptedNormals(values), 4)])
+        assert _random_pairs(_ScriptedNormals(values), 4).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["sequential", "per-round"])
     def test_run_restart_repeats_optimize_record(self, mode):
@@ -453,6 +453,14 @@ class TestPresample:
         rep = presample(K2, 5000, seed=1)
         assert sum(rep.histogram) == 5000
         assert len(rep.bin_edges) == len(rep.histogram) + 1
+
+    def test_all_zero_draw_is_never_scored(self, monkeypatch):
+        # four zero normals would make the pair (1, 1), of norm sqrt 2; the
+        # qubit is drawn again instead, as a restart's qubit is
+        values = [0.0] * 4 + np.random.default_rng(5).standard_normal(4).tolist()
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: _ScriptedNormals(values))
+        rep = presample(builtin_family("empty", 1), 1)
+        assert 0 < rep.max_F <= 1
 
     def test_deterministic(self):
         a = presample(builtin_family("cycle", 4), 10000, seed=9)
