@@ -277,8 +277,9 @@ def is_two_colorable(g: Graph):
     return side0, side1
 
 
-def max_independent_set_size(g: Graph) -> int:
-    """Largest number of pairwise non-adjacent vertices (exhaustive subset sweep).
+def max_independent_set(g: Graph) -> VertexSet:
+    """A largest set of pairwise non-adjacent vertices (exhaustive subset sweep):
+    the lowest mask among the largest, so the choice is deterministic.
 
     One numpy step per vertex v marks the independent subsets of 0..v:
     ``S | {v}`` is independent iff ``S`` is and v has no neighbour in ``S``.
@@ -287,7 +288,14 @@ def max_independent_set_size(g: Graph) -> int:
     independent[0] = True
     for v, row in enumerate(g.rows):
         independent[1 << v:2 << v] = independent[:1 << v] & (np.arange(1 << v) & row == 0)
-    return int(np.bitwise_count(np.flatnonzero(independent)).max())
+    masks = np.flatnonzero(independent)
+    # argmax keeps the first maximum, and flatnonzero lists the masks in order
+    return int(masks[np.argmax(np.bitwise_count(masks))])
+
+
+def max_independent_set_size(g: Graph) -> int:
+    """Largest number of pairwise non-adjacent vertices."""
+    return max_independent_set(g).bit_count()
 
 
 def max_matching_size(g: Graph) -> int:

@@ -12,6 +12,12 @@ iterated in place and scored by :func:`_iterate_block`, and only the winner
 becomes a :class:`ProductState`.  :func:`initial_state_for_restart` and
 :func:`run_restart` are one-row wrappers around the same path.
 
+Every contraction comes from the graph's elimination plan (see
+:mod:`graphent.states`): a maximum independent set I is summed out, so a
+partial costs O(2**(n - |I|)) and no 2**n array is built.  A sweep reuses
+the rows' eliminated signs across the partials of C = V \\ I until an
+independent qubit moves.
+
 Coordinates can be pinned (never updated) to break correlated update
 equations: the per-round schedule can circle forever on a graph whose
 update equations depend on each other (the Bell pair is the smallest), and
@@ -42,16 +48,16 @@ from .states import (
     QubitAmplitudePair,
     _batch_fidelity,
     _batch_partials,
+    _eliminated_signs,
+    _elimination_plan,
     _gauge_fix_rows,  # noqa: F401 -- re-exported: the gauge fix stays importable here
     _kernel_workspace,
     _normalized_rows,
     _random_pairs,
-    _row_overlap,
-    _scaled_signs,
+    _row_overlaps,
     _state_to_row,
     fidelity,
     fubini_study_distance,
-    phase_signs,
 )
 
 MODES = ("sequential", "per-round")
@@ -63,10 +69,12 @@ STALL_WINDOW = 20
 STALL_IMPROVE_EPS = 1e-12
 STALL_RESIDUAL = 1e-6
 
-# Convergence requires a flat fidelity (a round-over-round change below
-# CONVERGENCE_EPS) AND a near-zero fixed-point residual: correlated update
-# equations can leave the fidelity exactly invariant while the state is far
-# from any critical point (those restarts stall instead).
+# Convergence requires a flat fidelity (a round-over-round change of at most
+# CONVERGENCE_EPS, or of 4 ulps of F where that is larger: at the optimum F can
+# alternate between neighbouring doubles) AND a near-zero fixed-point
+# residual: correlated update equations can leave the fidelity exactly
+# invariant while the state is far from any critical point (those restarts
+# stall instead).
 CONVERGENCE_EPS = 1e-16
 CONVERGED_RESIDUAL = 1e-8
 
@@ -76,8 +84,8 @@ DEGENERATE_EPS = 1e-300
 SNAP_MAX_DISTANCE = 0.05
 
 _ENGINE_BLOCK_ELEMS = 1 << 21
-# presample draws in chunks whose (chunk, 2**n) array of signed terms has at
-# most this many elements, so its memory does not grow with the sample count.
+# presample draws in chunks of at most this many elements over the 2**n basis
+# states, so its workspace does not grow with the sample count.
 _PRESAMPLE_ELEMS = 1 << 16
 
 # Named pin values; ``random`` keeps each restart's own draw for the qubit.
@@ -264,11 +272,12 @@ def measures_from_entanglement(E: float) -> dict:
 # ---------------------------------------------------------------------------
 # batched iteration engine
 
-def _batch_residuals(Q: np.ndarray, signs, free, work) -> np.ndarray:
+def _batch_residuals(Q: np.ndarray, plan, free, work) -> np.ndarray:
     """Max fixed-point residual |y* c0 - x* c1| over free coordinates, per row."""
     res = np.zeros(Q.shape[0])
+    v = _eliminated_signs(Q, plan, work)
     for j in free:
-        hg = _batch_partials(Q, signs, j, work)
+        hg = _batch_partials(Q, plan, j, work, v)
         r = np.abs(Q[:, j, 1].conj() * hg[:, 0] - Q[:, j, 0].conj() * hg[:, 1])
         res = np.maximum(res, r)
     return res
@@ -284,8 +293,8 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     one-row block appends its fidelity after every update to ``trace``.
     """
     R = Q.shape[0]
-    signs = _scaled_signs(g)
-    work = _kernel_workspace(R, g.n - 1)
+    plan = _elimination_plan(g)
+    work = _kernel_workspace(R, len(plan.rest))
     sequential = cfg.mode == "sequential"
     active = np.ones(R, dtype=bool)
     converged = np.zeros(R, dtype=bool)
@@ -294,7 +303,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     degenerate = np.zeros(R, dtype=np.int64)
     plateau = np.zeros(R, dtype=np.int64)
 
-    F_prev = _batch_fidelity(Q, signs, free[0], work)
+    F_prev = _batch_fidelity(Q, plan, work)
     best_seen = F_prev.copy()
 
     for _ in range(cfg.rounds):
@@ -306,19 +315,24 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
         # per-round mode reads every partial from the rows as the round began
         old = A if sequential else A.copy()
         F_round = F_prev[live]
+        v = None  # old's eliminated signs, kept while no independent qubit moves
         for j in free:
-            hg = _batch_partials(old, signs, j, work)
+            if v is None and j in plan.rest:
+                v = _eliminated_signs(old, plan, work)
+            hg = _batch_partials(old, plan, j, work, v)
             F_new = hg.real[:, 0] ** 2 + hg.imag[:, 0] ** 2 \
                 + hg.real[:, 1] ** 2 + hg.imag[:, 1] ** 2
             deg = F_new < DEGENERATE_EPS
             A[~deg, j, :] = _normalized_rows(hg[~deg].conj())
             degenerate[live] += deg
             if sequential:
+                if j in plan.independent:
+                    v = None
                 F_round = np.where(deg, F_round, F_new)
                 if trace is not None:
                     trace.extend(F_round.tolist())
         if not sequential:
-            F_round = _batch_fidelity(A, signs, free[0], work)
+            F_round = _batch_fidelity(A, plan, work)
             if trace is not None:
                 trace.extend(F_round.tolist())
         Q[live] = A
@@ -326,13 +340,14 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
         improved = F_round > best_seen[live] + STALL_IMPROVE_EPS
         plateau[live] = np.where(improved, 0, plateau[live] + 1)
         best_seen[live] = np.maximum(best_seen[live], F_round)
-        flat = np.abs(F_round - F_prev[live]) < CONVERGENCE_EPS
+        flat = np.abs(F_round - F_prev[live]) <= np.maximum(
+            CONVERGENCE_EPS, 4 * np.spacing(F_prev[live]))
         stuck = plateau[live] >= STALL_WINDOW
         # A row's residual does not depend on the other rows in its batch, so
         # one pass over the flat and the plateaued rows decides both tests.
         check = flat | stuck
         if check.any():
-            res = _batch_residuals(A[check], signs, free, work)
+            res = _batch_residuals(A[check], plan, free, work)
             done = flat[check] & (res <= CONVERGED_RESIDUAL)
             bad = ~done & stuck[check] & (res > STALL_RESIDUAL)
             rows = live[check]
@@ -341,9 +356,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
             active[rows[done | bad]] = False
         F_prev[live] = F_round
 
-    del work, signs  # free the kernel arrays before the rescoring allocates its own
-    pm = phase_signs(g)
-    finals = [abs(_row_overlap(pm, row)) ** 2 for row in Q]
+    finals = [abs(z) ** 2 for z in _row_overlaps(Q, plan, work)]
     return [RestartSummary(first + i, F, entanglement_from_fidelity(F) if F > 0 else math.inf,
                            bool(converged[i]), bool(stalled[i]), int(rounds_used[i]))
             for i, F in enumerate(finals)], degenerate
@@ -399,8 +412,8 @@ def run_restart(g: Graph, init: ProductState, cfg: OptimizerConfig) -> RestartRe
     Sequential mode sweeps the free coordinates in order, updating in place;
     per-round mode computes every update from the round-start state and
     applies them together (one trace entry per round).  Stops at the rounds
-    cap, on convergence (a round-over-round fidelity change below
-    :data:`CONVERGENCE_EPS` at a fixed-point residual of at most
+    cap, on convergence (a round-over-round fidelity change of at most
+    :data:`CONVERGENCE_EPS` or 4 ulps of F at a fixed-point residual of at most
     :data:`CONVERGED_RESIDUAL`), or when flagged as stalled.  Pinned
     coordinates with explicit values replace the matching entries of
     ``init``; value-less pins keep ``init``'s entry.
@@ -447,7 +460,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     free = _free_coordinates(g, cfg.fixed)
     block = _block_size(g.n, cfg.restarts, threads)
     starts = list(range(0, cfg.restarts, block))
-    phase_signs(g)  # fill its cache here, not in every pool thread at once
+    _elimination_plan(g)  # fill its cache here, not in every pool thread at once
 
     def run_span(start: int) -> tuple[list[RestartSummary], np.ndarray]:
         Q = _restart_rows(g, cfg, start, min(block, cfg.restarts - start))
@@ -494,13 +507,13 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
     counts = np.zeros(bins, dtype=np.int64)
     min_F, max_F = math.inf, -math.inf
     chunk = max(1, _PRESAMPLE_ELEMS >> n)
-    signs = _scaled_signs(g)
-    work = _kernel_workspace(chunk, n - 1)
+    plan = _elimination_plan(g)
+    work = _kernel_workspace(chunk, len(plan.rest))
     remaining = count
     while remaining:
         m = min(chunk, remaining)
         remaining -= m
-        F = _batch_fidelity(_random_pairs(rng, m * n).reshape(m, n, 2), signs, 0, work)
+        F = _batch_fidelity(_random_pairs(rng, m * n).reshape(m, n, 2), plan, work)
         min_F = min(min_F, float(F.min()))
         max_F = max(max_F, float(F.max()))
         counts += np.histogram(np.clip(F, 0.0, 1.0), bins=edges)[0]

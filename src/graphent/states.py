@@ -1,4 +1,5 @@
-"""Dense amplitude representation of graph states and product states.
+"""Graph states and product states: dense amplitudes, and the elimination
+kernel that contracts them without those amplitudes.
 
 Bit-ordering convention, fixed everywhere in this package: qubit 0 is the
 most significant bit of the basis index, so ``amplitudes[mu]`` belongs to the
@@ -7,9 +8,20 @@ computational basis state whose qubit-j value is ``(mu >> (n-1-j)) & 1``.
 The graph state of a graph with adjacency rows Gamma has amplitudes
 ``2**(-n/2) * (-1)**e(mu)`` where ``e(mu)`` counts the edges lying inside the
 support of ``mu`` (an exact integer count, so the sign is never subject to
-floating-point parity).  Overlaps accumulate with error-free summation
-(:func:`math.fsum`) because the downstream entanglement figures are quoted to
-1e-14.
+floating-point parity).
+
+Overlaps with product states never build those 2**n amplitudes.  No edge
+joins two vertices of a maximum independent set I, so the sum over the
+qubits of I factorises, and with C = V \\ I::
+
+    <G|phi> = 2**(-n/2) * sum_{x_C} sigma(x_C) w_C(x_C) prod_{i in I} f_i(x_C)
+
+with ``w_C`` the product amplitudes of the qubits of C, ``sigma`` the signs of
+the subgraph induced on C, and ``f_i = x_i + y_i (-1)**(N(i).x_C)``.  Each
+graph's :class:`_EliminationPlan` holds I, C and those signs.  The engine's
+partials are plain sums of 2**|C| terms; the reported overlaps accumulate
+them with error-free summation (:func:`math.fsum`) because the downstream
+entanglement figures are quoted to 1e-14.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, bits_of
+from .graphs import Graph, bits_of, max_independent_set
 
 NORM_TOL = 1e-12
 _SMALLEST_NORMAL = np.finfo(float).tiny
@@ -204,14 +216,56 @@ def phase_signs(g: Graph) -> np.ndarray:
     return signs
 
 
-def _scaled_signs(g: Graph) -> np.ndarray:
-    """The graph state's real amplitudes 2**(-n/2) * (-1)**e(mu), as float64."""
-    return phase_signs(g) * 2.0 ** (-g.n / 2)
-
-
 def graph_state_vector(g: Graph) -> StateVector:
     """Graph state amplitudes 2**(-n/2) * (-1)**e(mu)."""
-    return StateVector(g.n, _scaled_signs(g))
+    return StateVector(g.n, phase_signs(g) * 2.0 ** (-g.n / 2))
+
+
+@dataclass(frozen=True, eq=False)
+class _EliminationPlan:
+    """A graph's signs with a maximum independent set I summed out.
+
+    No edge joins two vertices of I, so with C = V \\ I the sign of a basis
+    state is ``sigma(x_C) * prod_{i in I} s_i(x_C)**x_i``: ``sigma`` is the
+    sign of the subgraph induced on C and ``s_i(x_C) = (-1)**(N(i).x_C)``.
+    Both are int8 arrays of +-1 over the 2**|C| values of x_C, with
+    ``rest[0]`` the most significant bit.
+    """
+
+    n: int
+    independent: tuple[int, ...]  # I, in increasing order
+    rest: tuple[int, ...]  # C, in increasing order
+    signs: np.ndarray  # sigma, (2**|C|,)
+    parities: np.ndarray  # s_i for the i of ``independent`` in order, (|I|, 2**|C|)
+
+
+@lru_cache(maxsize=128)
+def _elimination_plan(g: Graph) -> _EliminationPlan:
+    """The plan of :func:`max_independent_set`'s set, cached per graph like
+    :func:`phase_signs`; it holds (|I| + 1) 2**|C| <= 2**n bytes, no more."""
+    mis = max_independent_set(g)
+    if mis.bit_count() == g.n > 1:
+        # Keep one qubit in C: with one term per row numpy runs the rows as one
+        # loop, and a row's complex products then round by the batch size.
+        mis ^= 1 << (g.n - 1)
+    independent = tuple(bits_of(mis))
+    rest = tuple(v for v in range(g.n) if not mis >> v & 1)
+    m = len(rest)
+    x = np.arange(1 << m, dtype=np.uint32)
+
+    def odd(vertices: int) -> np.ndarray:
+        """Parity of x_C over the vertices of a mask, 0 or 1 for each x_C."""
+        mask = sum(1 << (m - 1 - p) for p, c in enumerate(rest) if vertices >> c & 1)
+        return (np.bitwise_count(x & mask) & 1).astype(np.int8)
+
+    edges_odd = np.zeros(1 << m, dtype=np.int8)
+    for c in rest:  # each edge inside C once, from its lower end c
+        edges_odd ^= odd(1 << c) & odd(g.rows[c] >> c << c)
+    signs = 1 - 2 * edges_odd
+    parities = np.array([1 - 2 * odd(g.rows[i]) for i in independent])
+    signs.setflags(write=False)
+    parities.setflags(write=False)
+    return _EliminationPlan(g.n, independent, rest, signs, parities)
 
 
 def _state_to_row(p: ProductState) -> np.ndarray:
@@ -220,10 +274,15 @@ def _state_to_row(p: ProductState) -> np.ndarray:
 
 
 def _kernel_workspace(R: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for up to R rows of m-qubit weights: the expansion ends in the
-    first, (R * 2**m,); its earlier steps and the signed terms use the second.
-    The engine reuses one per block: fresh arrays that shrank with the live
-    rows made the allocator return pages and fault them in again."""
+    """Buffers for up to R rows on m = |C| qubits, 3 R 2**m elements in all.
+
+    The first, (R * 2**m,), holds the eliminated signs of
+    :func:`_eliminated_signs`, which the independent qubits' partials leave
+    alone; the second, (2 * R * 2**m,), holds the product weights, the
+    factors and the terms.  The engine reuses one per block: fresh arrays that
+    shrank with the live rows made the allocator return pages and fault them
+    in again.
+    """
     return np.empty(R << m, dtype=np.complex128), np.empty(2 * R << m, dtype=np.complex128)
 
 
@@ -232,39 +291,92 @@ def _product_weights(Q: np.ndarray, skip: int | None = None, work=None) -> np.nd
 
     ``skip`` leaves that qubit out (m = n - 1).  Uses explicit elementwise
     products (never BLAS matmul) so each row's arithmetic is bit-identical
-    regardless of how rows are batched.  The result is a view into ``work``.
+    regardless of how rows are batched.  The result is a view into
+    ``work[0]``, and the earlier steps alternate between it and
+    ``work[1]``; with no qubit kept it is a fresh (R, 1) array of ones.
     """
     R = Q.shape[0]
     kept = [k for k in range(Q.shape[1]) if k != skip]
+    if not kept:
+        return np.ones((R, 1), dtype=np.complex128)
     work = work or _kernel_workspace(R, len(kept))
-    w = np.ones((R, 1), dtype=np.complex128)
-    for i, k in enumerate(kept):
+    w = work[(len(kept) - 1) % 2][:2 * R].reshape(R, 2)
+    w[...] = Q[:, kept[0]]
+    for i, k in enumerate(kept[1:], 1):
         out = work[(len(kept) - 1 - i) % 2][:2 * w.size].reshape(R, -1, 2)
         w = np.multiply(w[:, :, None], Q[:, k, None, :], out=out).reshape(R, -1)
     return w
 
 
-def _batch_partials(Q: np.ndarray, signs: np.ndarray, j: int, work=None) -> np.ndarray:
-    """(R, 2) partial-overlap pairs of coordinate j for every row of Q, given
-    the :func:`_scaled_signs` vector.
+def _factor(Q: np.ndarray, plan: _EliminationPlan, k: int, out: np.ndarray) -> np.ndarray:
+    """``f_i = x_i + y_i s_i`` of the k-th independent qubit i, every row, in out."""
+    i = plan.independent[k]
+    np.multiply(Q[:, i, 1, None], plan.parities[k], out=out)
+    return np.add(out, Q[:, i, 0, None], out=out)
 
-    Qubit j's axis is outermost in the signed terms, so each partial is one
-    contiguous plain sum, whose rounding does not depend on the batch.
+
+def _eliminated_signs(Q: np.ndarray, plan: _EliminationPlan, work) -> np.ndarray:
+    """(R, 2**|C|) ``(sigma * f_i0) * f_i1 ...`` over I of every row of Q: the
+    graph state's signs with the independent qubits summed out.  Built in
+    ``work[0]``; the factors use ``work[1]``."""
+    R, N = Q.shape[0], plan.signs.size
+    v = work[0][:R * N].reshape(R, N)
+    f = work[1][:R * N].reshape(R, N)
+    for k in range(len(plan.independent)):
+        np.multiply(v if k else plan.signs, _factor(Q, plan, k, f), out=v)
+    return v
+
+
+def _overlap_terms(Q: np.ndarray, plan: _EliminationPlan, work) -> np.ndarray:
+    """(R, 2**|C|) terms whose sum over x_C is 2**(n/2) <G|phi> for each row:
+    the rest's product weights times the eliminated signs."""
+    R, N = Q.shape[0], plan.signs.size
+    v = _eliminated_signs(Q, plan, work)
+    w = _product_weights(Q[:, list(plan.rest)], work=(work[1][:R * N], work[1][R * N:]))
+    return np.multiply(w, v, out=w)
+
+
+def _batch_partials(Q: np.ndarray, plan: _EliminationPlan, j: int, work=None,
+                    v: np.ndarray | None = None) -> np.ndarray:
+    """(R, 2) partial-overlap pairs of coordinate j for every row of Q.
+
+    For j in I the pair is the plain sums of ``t = w_C sigma prod_{i != j} f_i``
+    and of ``t s_j``.  For j in C it is the dense sum over the qubits of C,
+    with the rows' eliminated signs ``v`` in place of a sign vector; pass the
+    rows' :func:`_eliminated_signs` to reuse them, as long as no independent
+    qubit of the rows has changed.  Each partial is one contiguous plain sum,
+    whose rounding does not depend on the batch.
     """
-    R = Q.shape[0]
-    work = work or _kernel_workspace(R, Q.shape[1] - 1)
-    s = signs.reshape(1 << j, 2, -1)  # (qubits before j, qubit j, qubits after j)
-    w = _product_weights(Q, skip=j, work=work).reshape(R, 1, *s[:, 0].shape)
-    terms = work[1][:2 * w.size].reshape(R, 2, *s[:, 0].shape)
-    np.multiply(w, s.transpose(1, 0, 2), out=terms)
-    return terms.reshape(R, 2, -1).sum(axis=2)
+    R, N = Q.shape[0], plan.signs.size
+    work = work or _kernel_workspace(R, len(plan.rest))
+    buf = work[1]
+    if j in plan.independent:
+        t, f = buf[:R * N], buf[R * N:2 * R * N]
+        w = _product_weights(Q[:, list(plan.rest)], work=(f, t))
+        t = np.multiply(w, plan.signs, out=t.reshape(R, N))
+        f = f.reshape(R, N)
+        for k, i in enumerate(plan.independent):
+            if i != j:
+                np.multiply(t, _factor(Q, plan, k, f), out=t)
+        np.multiply(t, plan.parities[plan.independent.index(j)], out=f)
+        sums = buf[:2 * R * N].reshape(2, R, N).sum(axis=2).T
+    else:
+        if v is None:
+            v = _eliminated_signs(Q, plan, work)
+        p = plan.rest.index(j)
+        half = R * N // 2
+        w = _product_weights(Q[:, list(plan.rest)], skip=p,
+                             work=(buf[R * N:R * N + half], buf[R * N + half:]))
+        terms = buf[:R * N].reshape(R, 2, 1 << p, -1)
+        np.multiply(w.reshape(R, 1, 1 << p, -1),
+                    v.reshape(R, 1 << p, 2, -1).transpose(0, 2, 1, 3), out=terms)
+        sums = terms.reshape(R, 2, -1).sum(axis=2)
+    return np.multiply(sums, 2.0 ** (-plan.n / 2), order="C")
 
 
-def _batch_fidelity(Q: np.ndarray, signs: np.ndarray, j: int, work=None) -> np.ndarray:
-    """(R,) fidelities |<G|phi>|**2 of every row of Q, by plain summation,
-    contracted through the partials of coordinate j."""
-    hg = _batch_partials(Q, signs, j, work)
-    f = Q[:, j, 0] * hg[:, 0] + Q[:, j, 1] * hg[:, 1]
+def _batch_fidelity(Q: np.ndarray, plan: _EliminationPlan, work) -> np.ndarray:
+    """(R,) fidelities |<G|phi>|**2 of every row of Q, by plain summation."""
+    f = _overlap_terms(Q, plan, work).sum(axis=1) * 2.0 ** (-plan.n / 2)
     return f.real ** 2 + f.imag ** 2
 
 
@@ -273,17 +385,20 @@ def product_state_vector(p: ProductState) -> StateVector:
     return StateVector(p.n, _product_weights(_state_to_row(p)[None])[0])
 
 
-def _row_overlap(pm: np.ndarray, row: np.ndarray) -> complex:
-    """<G|phi> of one (n, 2) row given :func:`phase_signs`, error-free."""
-    terms = pm * _product_weights(row[None])[0]
-    return complex(math.fsum(terms.real), math.fsum(terms.imag)) * 2.0 ** (-row.shape[0] / 2)
+def _row_overlaps(Q: np.ndarray, plan: _EliminationPlan, work=None) -> list[complex]:
+    """<G|phi> of every (n, 2) row of Q, each by error-free summation
+    (:func:`math.fsum`) of its 2**|C| eliminated terms."""
+    work = work or _kernel_workspace(Q.shape[0], len(plan.rest))
+    scale = 2.0 ** (-plan.n / 2)
+    return [complex(math.fsum(t.real), math.fsum(t.imag)) * scale
+            for t in _overlap_terms(Q, plan, work)]
 
 
 def overlap(g: Graph, p: ProductState) -> complex:
     """<G|phi>: signed sum of product amplitudes, error-free accumulation."""
     if p.n != g.n:
         raise ValueError(f"product state has {p.n} qubits, graph has {g.n}")
-    return _row_overlap(phase_signs(g), _state_to_row(p))
+    return _row_overlaps(_state_to_row(p)[None], _elimination_plan(g))[0]
 
 
 def fidelity(g: Graph, p: ProductState) -> float:
@@ -301,11 +416,10 @@ def partial_overlaps(g: Graph, p: ProductState, j: int) -> tuple[complex, comple
         raise ValueError(f"product state has {p.n} qubits, graph has {g.n}")
     if not (0 <= j < g.n):
         raise ValueError(f"qubit {j} out of range for n={g.n}")
-    pm, row = phase_signs(g), _state_to_row(p)
-    row[j] = (1, 0)
-    c0 = _row_overlap(pm, row)
-    row[j] = (0, 1)
-    return c0, _row_overlap(pm, row)
+    rows = np.stack([_state_to_row(p)] * 2)
+    rows[:, j] = np.eye(2)
+    c0, c1 = _row_overlaps(rows, _elimination_plan(g))
+    return c0, c1
 
 
 _LC_X_FACTOR = np.array([[1, -1j], [-1j, 1]], dtype=np.complex128) / math.sqrt(2)

@@ -136,6 +136,17 @@ def oracle_overlap(g: Graph, state) -> complex:
     return total * 2.0 ** (-g.n / 2)
 
 
+def dense_fsum_overlap(g: Graph, state) -> complex:
+    """<G|phi> by error-free summation (fsum) of all 2**n dense terms: each
+    basis state's defining sign times the Kronecker product of the qubits."""
+    prod = np.ones(1, dtype=np.complex128)
+    for q in state.qubits:
+        prod = np.kron(prod, [q.x, q.y])
+    terms = [(-1) ** oracle_edges_inside(g, mu) * prod[mu] for mu in range(1 << g.n)]
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms)) * 2.0 ** (-g.n / 2)
+
+
 def grid_oracle_max_fidelity(g: Graph, steps_quarter: int = 60) -> float:
     """Global fidelity maximum, independent of the coordinate-ascent iteration.
 

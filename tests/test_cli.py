@@ -153,6 +153,14 @@ class TestCompute:
         _, out2, _ = run_cli(capsys, *base, "--threads", "3")
         assert out1 == out2
 
+    def test_threads_byte_identical_on_eliminated_kernel(self, capsys):
+        # C14 sums out 7 of its 14 qubits; 8 restarts split over 2 threads
+        base = ("compute", "--family", "cycle:14", "--restarts", "8", "--rounds", "5",
+                "--format", "json")
+        code, out1, _ = run_cli(capsys, *base, "--threads", "1")
+        _, out2, _ = run_cli(capsys, *base, "--threads", "2")
+        assert code == 0 and out1 == out2
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_usage_error(self, capsys, monkeypatch, threads):
         # refused before any work starts, presample included

@@ -16,6 +16,7 @@ from graphent import (
     parse_edge_list,
     parse_graph6,
 )
+from graphent.graphs import max_independent_set
 from helpers import (
     all_labeled_graphs,
     all_pairs,
@@ -237,6 +238,22 @@ class TestIndependentSetAndMatching:
     def test_mis_matches_oracle(self, rng):
         for g in small_graphs(rng, 150, n_max=8):
             assert max_independent_set_size(g) == oracle_max_independent_set(g)
+
+    def test_mis_mask_is_the_lowest_maximum_independent_set(self, rng):
+        # every labelled graph with n <= 5, where the lowest mask among the
+        # largest independent sets is found by brute force here, then random
+        # graphs up to n = 16; the mask is the same on every call
+        for g in small_graphs(rng, 0, n_max=5):
+            size = max_independent_set_size(g)
+            lowest = min(mask for mask in range(1 << g.n) if mask.bit_count() == size
+                         and not any(g.rows[v] & mask for v in range(g.n) if mask >> v & 1))
+            assert max_independent_set(g) == lowest
+        for _ in range(60):
+            g = random_graph(rng, n_min=6, n_max=16, p=rng.random())
+            mask = max_independent_set(g)
+            assert not any(g.rows[v] & mask for v in range(g.n) if mask >> v & 1)
+            assert mask.bit_count() == max_independent_set_size(g)
+            assert max_independent_set(g) == mask
 
     def test_matching_matches_oracle(self, rng):
         for g in small_graphs(rng, 100, n_max=6):

@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,20 +25,25 @@ from graphent import (
     snap_to_exact,
 )
 from graphent.catalog import PAIR_PHI
+from graphent.graphs import max_independent_set
 from graphent.optimize import SUCCESS_TOL, _gauge_fix_rows, usable_cpu_count
 from graphent.states import (
     PAIR_MINUS,
     PAIR_ONE,
     PAIR_PLUS,
     PAIR_ZERO,
+    _batch_fidelity,
     _batch_partials,
+    _eliminated_signs,
+    _elimination_plan,
     _kernel_workspace,
     _product_weights,
     _random_pairs,
-    _scaled_signs,
+    _row_overlaps,
 )
 from helpers import (
     coordinate_update,
+    dense_fsum_overlap,
     grid_oracle_max_fidelity,
     orthogonality_residual,
     random_graph,
@@ -48,6 +54,56 @@ optimize_mod = importlib.import_module("graphent.optimize")
 E_RING5 = 1 + math.log2(3) + math.log2(3 - math.sqrt(3))
 F_RING5 = (3 + math.sqrt(3)) / 36
 K2 = build_graph(2, [(0, 1)])
+
+
+def _bits(vertices) -> dict:
+    """Each vertex's bit over the 2**len(vertices) values, the first vertex
+    most significant."""
+    x = np.arange(1 << len(vertices))
+    return {v: (x >> (len(vertices) - 1 - k)) & 1 for k, v in enumerate(vertices)}
+
+
+def _explicit_signs(g, vertices) -> np.ndarray:
+    """(-1)**(edges of g inside the support) over the vertices' bits."""
+    bit = _bits(vertices)
+    return (-1) ** sum((bit[a] * bit[b] for a, b in g.edges() if a in bit and b in bit),
+                       np.zeros(1 << len(vertices), dtype=int))
+
+
+def _explicit_elimination(g, Q) -> SimpleNamespace:
+    """The plan's I, then C, sigma_C, each s_i and f_i, and the eliminated signs
+    v = (sigma * f_i0) * f_i1 ... of the rows of Q, written out from their
+    definitions."""
+    e = SimpleNamespace(independent=_elimination_plan(g).independent)
+    assert not any(g.has_edge(a, b) for a in e.independent for b in e.independent)
+    e.rest = [v for v in range(g.n) if v not in e.independent]
+    e.sigma = _explicit_signs(g, e.rest)
+    bit = _bits(e.rest)
+    e.parity = {i: (-1) ** sum((bit[c] for c in e.rest if g.has_edge(i, c)),
+                               np.zeros(1 << len(e.rest), dtype=int)) for i in e.independent}
+    e.factor = {i: Q[:, i, 0, None] + Q[:, i, 1, None] * e.parity[i] for i in e.independent}
+    e.v = e.sigma
+    for i in e.independent:
+        e.v = e.v * e.factor[i]
+    return e
+
+
+def _explicit_partials(g, Q, j):
+    """(R, 2) partials of coordinate j as the kernel sums them, each term and
+    each contiguous sum written out here."""
+    e = _explicit_elimination(g, Q)
+    if j in e.independent:
+        t = _product_weights(Q[:, e.rest]) * e.sigma
+        for i in e.independent:
+            if i != j:
+                t = t * e.factor[i]
+        sums = np.stack([t.sum(axis=1), (t * e.parity[j]).sum(axis=1)], axis=1)
+    else:
+        p = e.rest.index(j)
+        mat = np.moveaxis(e.v.reshape(len(Q), 1 << p, 2, -1), 2, 1).reshape(len(Q), 2, -1)
+        w = _product_weights(Q[:, e.rest], skip=p)
+        sums = np.ascontiguousarray(w[:, None, :] * mat).sum(axis=2)
+    return sums * 2.0 ** (-g.n / 2)
 
 
 def small_cfg(**kw):
@@ -111,45 +167,112 @@ class TestCoordinateUpdate:
             p = random_product_state(g.n, rng)
             j = int(rng.integers(0, g.n))
             row = np.array([[q.x, q.y] for q in p.qubits])[None, :, :]
-            hg = _batch_partials(row, _scaled_signs(g), j)
+            hg = _batch_partials(row, _elimination_plan(g), j)
             c0, c1 = partial_overlaps(g, p, j)
             assert abs(hg[0, 0] - c0) <= 1e-12
             assert abs(hg[0, 1] - c1) <= 1e-12
 
+    def test_elimination_plan(self, rng):
+        # I is the lowest maximum independent set (the edgeless graph keeps its
+        # last qubit in C), and sigma_C and every s_i equal their definitions;
+        # the plan holds no more than the 2**n bytes of phase_signs
+        cases = [random_graph(rng, n=n, p=rng.random()) for n in range(1, 17)]
+        cases += [builtin_family("empty", 1), builtin_family("empty", 4)]
+        for g in cases:
+            plan = _elimination_plan(g)
+            if g.edge_count():
+                assert sum(1 << i for i in plan.independent) == max_independent_set(g)
+            else:
+                assert plan.rest == ((g.n - 1,) if g.n > 1 else ())
+            assert sorted(plan.independent + plan.rest) == list(range(g.n))
+            e = _explicit_elimination(g, np.ones((1, g.n, 2)))
+            assert np.array_equal(plan.signs, e.sigma)
+            assert np.array_equal(plan.parities, [e.parity[i] for i in plan.independent])
+            assert plan.signs.nbytes + plan.parities.nbytes <= 1 << g.n
+
     def test_shared_workspace_is_bit_identical(self, rng):
-        # the kernel reads coordinate j from a view of the sign vector; it must
-        # equal, bit for bit, the plain product and sum over the explicit
-        # (2, 2**(n-1)) matrix of coordinate j (columns: the other qubits in
-        # order; each row of terms summed as one contiguous run), with a shared
-        # workspace holding more rows than used or a fresh one
-        for n in (1, 2, 3, 6, 9, 12, 16):
-            g = random_graph(rng, n=n)
-            signs = _scaled_signs(g)
-            work = _kernel_workspace(9, g.n - 1)
+        # the kernel reads its signs from the elimination plan and keeps its
+        # temporaries in a workspace; it must equal, bit for bit, the explicit
+        # elimination sum of _explicit_partials, with a shared workspace
+        # holding more rows than used or a fresh one, and with the rows'
+        # eliminated signs passed in or built by the call
+        cases = [random_graph(rng, n=n) for n in (1, 2, 3, 6, 9, 12, 16)]
+        cases += [builtin_family("empty", 5), builtin_family("star", 6)]
+        for g in cases:
+            plan = _elimination_plan(g)
+            work = _kernel_workspace(9, len(plan.rest))
             for rows in (9, 4, 1):
                 Q = rng.normal(size=(rows, g.n, 2)) + 1j * rng.normal(size=(rows, g.n, 2))
+                v = _eliminated_signs(Q, plan, work)
                 for j in range(g.n):
-                    mat = np.moveaxis(signs.reshape((2,) * n), j, 0).reshape(2, -1)
-                    w = _product_weights(Q, skip=j)
-                    plain = np.ascontiguousarray(w[:, None, :] * mat[None, :, :]).sum(axis=2)
-                    assert np.array_equal(_batch_partials(Q, signs, j, work), plain)
-                    assert np.array_equal(_batch_partials(Q, signs, j), plain)
+                    plain = _explicit_partials(g, Q, j)
+                    assert np.array_equal(_batch_partials(Q, plan, j, work, v), plain)
+                    assert np.array_equal(_batch_partials(Q, plan, j, work), plain)
+                    assert np.array_equal(_batch_partials(Q, plan, j), plain)
+
+    def test_batch_size_does_not_change_a_row(self, rng):
+        # a row's partials, fidelity and fsum overlap are the same bits in a
+        # batch of 9, 4 or 1 rows; the edgeless graph has |C| = 0, the star
+        # |C| = 1
+        cases = [builtin_family("empty", n) for n in (1, 4)]
+        cases += [builtin_family("star", n) for n in (2, 5)]
+        cases += [random_graph(rng, n=n) for n in (3, 8, 13)]
+        for g in cases:
+            plan = _elimination_plan(g)
+            Q = _random_pairs(rng, 9 * g.n).reshape(9, g.n, 2)
+            for j in range(g.n):
+                whole = _batch_partials(Q, plan, j)
+                for rows in (4, 1):
+                    assert np.array_equal(_batch_partials(Q[:rows], plan, j), whole[:rows])
+            work = _kernel_workspace(9, len(plan.rest))
+            whole = _batch_fidelity(Q, plan, work)
+            fsums = _row_overlaps(Q, plan)
+            for rows in (4, 1):
+                assert np.array_equal(_batch_fidelity(Q[:rows], plan, work), whole[:rows])
+                assert _row_overlaps(Q[:rows], plan) == fsums[:rows]
+
+    def test_partials_match_dense_sums(self, rng):
+        # unit rows: every partial within 1e-15 of the dense sum over the
+        # explicit (2, 2**(n-1)) sign matrix of coordinate j
+        for n in range(1, 17):
+            g = random_graph(rng, n=n, p=rng.random())
+            plan = _elimination_plan(g)
+            Q = _random_pairs(rng, 3 * n).reshape(3, n, 2)
+            signs = _explicit_signs(g, range(n)).reshape((2,) * n)
+            for j in range(n):
+                mat = np.moveaxis(signs, j, 0).reshape(2, -1) * 2.0 ** (-n / 2)
+                dense = (_product_weights(Q, skip=j)[:, None, :] * mat).sum(axis=2)
+                assert np.abs(_batch_partials(Q, plan, j) - dense).max() <= 1e-15
 
     def test_public_partials_match_explicit_matrix(self, rng):
-        # partial_overlaps takes its +-1 split from a view of phase_signs; it
-        # must equal the fsum over the signs of coordinate j's explicit matrix
+        # partial_overlaps is the fsum over the eliminated terms with qubit j
+        # set to |0> and to |1>; it must equal that sum built explicitly here
         for n in (1, 2, 3, 6, 9, 12, 16):
             g = random_graph(rng, n=n)
             p = random_product_state(n, rng)
             scale = 2.0 ** (-n / 2)
-            tensor = _scaled_signs(g).reshape((2,) * n)
-            row = np.array([[q.x, q.y] for q in p.qubits])[None]
+            row = np.array([[q.x, q.y] for q in p.qubits])
             for j in range(n):
-                split = np.sign(np.moveaxis(tensor, j, -1).reshape(-1, 2))
-                others = _product_weights(row, skip=j)[0]
+                rows = np.stack([row, row])
+                rows[:, j] = np.eye(2)
+                e = _explicit_elimination(g, rows)
+                terms = _product_weights(rows[:, e.rest]) * e.v
                 expect = tuple(complex(math.fsum(t.real), math.fsum(t.imag)) * scale
-                               for t in (split[:, 0] * others, split[:, 1] * others))
+                               for t in terms)
                 assert partial_overlaps(g, p, j) == expect
+
+    def test_fsum_rescoring_matches_dense_oracle(self):
+        # the engine rescores its rows by fsum over 2**|C| eliminated terms;
+        # the dense fsum over all 2**n terms agrees to a relative 1e-14
+        for g in (builtin_family("cycle", 5), builtin_family("cycle", 12),
+                  builtin_family("path", 9), builtin_family("complete", 7),
+                  build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7),
+                                  (3, 7), (1, 5)])):
+            res = optimize(g, small_cfg(restarts=6, rounds=30))
+            row = np.array([[q.x, q.y] for q in res.best_state.qubits])
+            got = _row_overlaps(row[None], _elimination_plan(g))[0]
+            want = dense_fsum_overlap(g, res.best_state)
+            assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_gauge_fix_subnormal_first_amplitude(self):
         # numpy divides x / |x| through 1/|x|, which overflows when |x| is
@@ -218,6 +341,18 @@ class TestRunRestart:
             calls.clear()
             rec = run_restart(K2, initial_state_for_restart(K2, cfg, i), cfg)
             assert len(calls) <= rec.rounds
+
+    def test_k2_restarts_stop_at_neighbouring_doubles(self):
+        # F near 1/2 can alternate between two neighbouring doubles at the
+        # optimum; a few ulps of change count as flat, so no restart runs to
+        # the rounds cap, and E and P_s stay as they were
+        cfg = OptimizerConfig(restarts=500, rounds=40, seed=0)
+        res = optimize(K2, cfg)
+        capped = [r for r in res.records
+                  if r.rounds == cfg.rounds and not (r.converged or r.stalled)]
+        assert capped == []
+        assert abs(res.entanglement - 1.0) <= SUCCESS_TOL
+        assert res.hit_fraction(res.entanglement, SUCCESS_TOL) == 1.0
 
     def test_init_length_checked(self, rng):
         with pytest.raises(ValueError):
