@@ -177,8 +177,7 @@ class CatalogEntry:
             )
 
     def to_json_dict(self) -> dict:
-        d: dict = {"id": self.id, "n": self.graph.n,
-                   "edges": [list(e) for e in self.graph.edges()]}
+        d: dict = {"id": self.id, **self.graph.to_json_dict()}
         if self.expected is not None:
             d["expected"] = str(self.expected)
         if self.category is not None:

@@ -93,16 +93,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as sorted (a, b) pairs with a < b."""
-        out = []
-        for a in range(self.n):
-            row = self.rows[a] >> (a + 1)
-            b = a + 1
-            while row:
-                if row & 1:
-                    out.append((a, b))
-                row >>= 1
-                b += 1
-        return out
+        return [(a, b) for a in range(self.n) for b in bits_of(self.rows[a]) if b > a]
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2

@@ -12,11 +12,9 @@ iterated in place and scored by :func:`_iterate_block`, and only the winner
 becomes a :class:`ProductState`.  :func:`initial_state_for_restart` and
 :func:`run_restart` are one-row wrappers around the same path.
 
-Every contraction comes from the graph's elimination plan (see
-:mod:`graphent.states`): a maximum independent set I is summed out, so a
-partial costs O(2**(n - |I|)) and no 2**n array is built.  A sweep reuses
-the rows' eliminated signs across the partials of C = V \\ I until an
-independent qubit moves.
+The engine drives rows: :mod:`graphent.states` gives it each coordinate's
+partial pairs and the rows' fidelities, and alone decides how to contract
+them and what a sweep may reuse.
 
 Coordinates can be pinned (never updated) to break correlated update
 equations: the per-round schedule can circle forever on a graph whose
@@ -47,10 +45,8 @@ from .states import (
     ProductState,
     QubitAmplitudePair,
     _batch_fidelity,
-    _batch_partials,
-    _eliminated_signs,
+    _coordinate_partials,
     _elimination_plan,
-    _gauge_fix_rows,  # noqa: F401 -- re-exported: the gauge fix stays importable here
     _kernel_workspace,
     _normalized_rows,
     _random_pairs,
@@ -83,9 +79,15 @@ SUCCESS_TOL = 1e-14  # the paper's precision for E
 DEGENERATE_EPS = 1e-300
 SNAP_MAX_DISTANCE = 0.05
 
+# _block_size allows _ENGINE_BLOCK_ELEMS >> (n - 1) rows, a rule that prices a
+# row at 2**(n-1) elements.  A row's workspace holds 3 * 2**|C| <= 3 * 2**(n-1),
+# so a rule keyed on |C| would allow more rows on most graphs, yet change no
+# block graphbench runs: 500 restarts at n <= 8 fit one block either way, and
+# large-n's split over two threads caps its blocks at 4 or 16 rows.
 _ENGINE_BLOCK_ELEMS = 1 << 21
-# presample draws in chunks of at most this many elements over the 2**n basis
-# states, so its workspace does not grow with the sample count.
+# presample scores _PRESAMPLE_ELEMS >> n samples at a time, so its workspace
+# does not grow with the count; the rule prices a sample at 2**n elements, and
+# a sample's workspace holds 3 * 2**|C| <= 1.5 * 2**n.
 _PRESAMPLE_ELEMS = 1 << 16
 
 # Named pin values; ``random`` keeps each restart's own draw for the qubit.
@@ -275,9 +277,7 @@ def measures_from_entanglement(E: float) -> dict:
 def _batch_residuals(Q: np.ndarray, plan, free, work) -> np.ndarray:
     """Max fixed-point residual |y* c0 - x* c1| over free coordinates, per row."""
     res = np.zeros(Q.shape[0])
-    v = _eliminated_signs(Q, plan, work)
-    for j in free:
-        hg = _batch_partials(Q, plan, j, work, v)
+    for j, hg in zip(free, _coordinate_partials(Q, plan, free, work, sweep=False)):
         r = np.abs(Q[:, j, 1].conj() * hg[:, 0] - Q[:, j, 0].conj() * hg[:, 1])
         res = np.maximum(res, r)
     return res
@@ -294,7 +294,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     """
     R = Q.shape[0]
     plan = _elimination_plan(g)
-    work = _kernel_workspace(R, len(plan.rest))
+    work = _kernel_workspace(R, plan)
     sequential = cfg.mode == "sequential"
     active = np.ones(R, dtype=bool)
     converged = np.zeros(R, dtype=bool)
@@ -315,19 +315,13 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
         # per-round mode reads every partial from the rows as the round began
         old = A if sequential else A.copy()
         F_round = F_prev[live]
-        v = None  # old's eliminated signs, kept while no independent qubit moves
-        for j in free:
-            if v is None and j in plan.rest:
-                v = _eliminated_signs(old, plan, work)
-            hg = _batch_partials(old, plan, j, work, v)
+        for j, hg in zip(free, _coordinate_partials(old, plan, free, work, sequential)):
             F_new = hg.real[:, 0] ** 2 + hg.imag[:, 0] ** 2 \
                 + hg.real[:, 1] ** 2 + hg.imag[:, 1] ** 2
             deg = F_new < DEGENERATE_EPS
             A[~deg, j, :] = _normalized_rows(hg[~deg].conj())
             degenerate[live] += deg
             if sequential:
-                if j in plan.independent:
-                    v = None
                 F_round = np.where(deg, F_round, F_new)
                 if trace is not None:
                     trace.extend(F_round.tolist())
@@ -508,7 +502,7 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
     min_F, max_F = math.inf, -math.inf
     chunk = max(1, _PRESAMPLE_ELEMS >> n)
     plan = _elimination_plan(g)
-    work = _kernel_workspace(chunk, len(plan.rest))
+    work = _kernel_workspace(chunk, plan)
     remaining = count
     while remaining:
         m = min(chunk, remaining)

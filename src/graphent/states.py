@@ -18,10 +18,10 @@ qubits of I factorises, and with C = V \\ I::
 
 with ``w_C`` the product amplitudes of the qubits of C, ``sigma`` the signs of
 the subgraph induced on C, and ``f_i = x_i + y_i (-1)**(N(i).x_C)``.  Each
-graph's :class:`_EliminationPlan` holds I, C and those signs.  The engine's
-partials are plain sums of 2**|C| terms; the reported overlaps accumulate
-them with error-free summation (:func:`math.fsum`) because the downstream
-entanglement figures are quoted to 1e-14.
+graph's :class:`_EliminationPlan` (the one per-graph cache) holds I, C and
+those signs.  The engine's partials, from :func:`_coordinate_partials`, are
+plain sums of 2**|C| terms; the reported overlaps use error-free summation
+(:func:`math.fsum`) because the entanglement figures are quoted to 1e-14.
 """
 
 from __future__ import annotations
@@ -204,7 +204,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@lru_cache(maxsize=128)
 def phase_signs(g: Graph) -> np.ndarray:
     """(-1)**e(mu) for every basis index mu, as an int8 array of +-1."""
     mu = np.arange(1 << g.n, dtype=np.uint32)
@@ -212,7 +211,6 @@ def phase_signs(g: Graph) -> np.ndarray:
     for a, b in g.edges():
         both = ((mu >> (g.n - 1 - a)) & (mu >> (g.n - 1 - b)) & 1).astype(bool)
         signs[both] *= -1
-    signs.setflags(write=False)
     return signs
 
 
@@ -241,8 +239,8 @@ class _EliminationPlan:
 
 @lru_cache(maxsize=128)
 def _elimination_plan(g: Graph) -> _EliminationPlan:
-    """The plan of :func:`max_independent_set`'s set, cached per graph like
-    :func:`phase_signs`; it holds (|I| + 1) 2**|C| <= 2**n bytes, no more."""
+    """The plan of :func:`max_independent_set`'s set, cached per graph; it
+    holds (|I| + 1) 2**|C| <= 2**n bytes, no more."""
     mis = max_independent_set(g)
     if mis.bit_count() == g.n > 1:
         # Keep one qubit in C: with one term per row numpy runs the rows as one
@@ -273,8 +271,9 @@ def _state_to_row(p: ProductState) -> np.ndarray:
     return np.array([[q.x, q.y] for q in p.qubits], dtype=np.complex128)
 
 
-def _kernel_workspace(R: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for up to R rows on m = |C| qubits, 3 R 2**m elements in all.
+def _kernel_workspace(R: int, plan: _EliminationPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for up to R rows of the plan's graph, with m = |C|: 3 R 2**m
+    elements in all.
 
     The first, (R * 2**m,), holds the eliminated signs of
     :func:`_eliminated_signs`, which the independent qubits' partials leave
@@ -283,7 +282,8 @@ def _kernel_workspace(R: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     shrank with the live rows made the allocator return pages and fault them
     in again.
     """
-    return np.empty(R << m, dtype=np.complex128), np.empty(2 * R << m, dtype=np.complex128)
+    N = R << len(plan.rest)
+    return np.empty(N, dtype=np.complex128), np.empty(2 * N, dtype=np.complex128)
 
 
 def _product_weights(Q: np.ndarray, skip: int | None = None, work=None) -> np.ndarray:
@@ -291,19 +291,19 @@ def _product_weights(Q: np.ndarray, skip: int | None = None, work=None) -> np.nd
 
     ``skip`` leaves that qubit out (m = n - 1).  Uses explicit elementwise
     products (never BLAS matmul) so each row's arithmetic is bit-identical
-    regardless of how rows are batched.  The result is a view into
-    ``work[0]``, and the earlier steps alternate between it and
-    ``work[1]``; with no qubit kept it is a fresh (R, 1) array of ones.
+    regardless of how rows are batched.  The steps alternate between the two
+    buffers of ``work`` (R 2**m elements or more each), from the first, and
+    the result is a view into either; with no qubit kept it is fresh ones.
     """
     R = Q.shape[0]
     kept = [k for k in range(Q.shape[1]) if k != skip]
     if not kept:
         return np.ones((R, 1), dtype=np.complex128)
-    work = work or _kernel_workspace(R, len(kept))
-    w = work[(len(kept) - 1) % 2][:2 * R].reshape(R, 2)
+    work = work or np.empty((2, R << len(kept)), dtype=np.complex128)
+    w = work[0][:2 * R].reshape(R, 2)
     w[...] = Q[:, kept[0]]
     for i, k in enumerate(kept[1:], 1):
-        out = work[(len(kept) - 1 - i) % 2][:2 * w.size].reshape(R, -1, 2)
+        out = work[i % 2][:2 * w.size].reshape(R, -1, 2)
         w = np.multiply(w[:, :, None], Q[:, k, None, :], out=out).reshape(R, -1)
     return w
 
@@ -342,13 +342,12 @@ def _batch_partials(Q: np.ndarray, plan: _EliminationPlan, j: int, work=None,
 
     For j in I the pair is the plain sums of ``t = w_C sigma prod_{i != j} f_i``
     and of ``t s_j``.  For j in C it is the dense sum over the qubits of C,
-    with the rows' eliminated signs ``v`` in place of a sign vector; pass the
-    rows' :func:`_eliminated_signs` to reuse them, as long as no independent
-    qubit of the rows has changed.  Each partial is one contiguous plain sum,
-    whose rounding does not depend on the batch.
+    with the rows' eliminated signs ``v`` (:func:`_eliminated_signs`, built
+    here unless passed in) in place of a sign vector.  Each partial is one
+    contiguous plain sum, whose rounding does not depend on the batch.
     """
     R, N = Q.shape[0], plan.signs.size
-    work = work or _kernel_workspace(R, len(plan.rest))
+    work = work or _kernel_workspace(R, plan)
     buf = work[1]
     if j in plan.independent:
         t, f = buf[:R * N], buf[R * N:2 * R * N]
@@ -374,6 +373,21 @@ def _batch_partials(Q: np.ndarray, plan: _EliminationPlan, j: int, work=None,
     return np.multiply(sums, 2.0 ** (-plan.n / 2), order="C")
 
 
+def _coordinate_partials(Q: np.ndarray, plan: _EliminationPlan, js, work, sweep: bool):
+    """Yield the (R, 2) partial pairs of the rows of Q for each coordinate of
+    ``js`` in turn.  The partials of C share the rows' eliminated signs, which
+    stay valid until a qubit of I changes: with ``sweep`` the caller may
+    replace qubit j of Q before asking for the next pair, so the signs are
+    dropped after each j in I; without it Q must not change meanwhile."""
+    v = None
+    for j in js:
+        if v is None and j in plan.rest:
+            v = _eliminated_signs(Q, plan, work)
+        yield _batch_partials(Q, plan, j, work, v)
+        if sweep and j in plan.independent:
+            v = None
+
+
 def _batch_fidelity(Q: np.ndarray, plan: _EliminationPlan, work) -> np.ndarray:
     """(R,) fidelities |<G|phi>|**2 of every row of Q, by plain summation."""
     f = _overlap_terms(Q, plan, work).sum(axis=1) * 2.0 ** (-plan.n / 2)
@@ -388,7 +402,7 @@ def product_state_vector(p: ProductState) -> StateVector:
 def _row_overlaps(Q: np.ndarray, plan: _EliminationPlan, work=None) -> list[complex]:
     """<G|phi> of every (n, 2) row of Q, each by error-free summation
     (:func:`math.fsum`) of its 2**|C| eliminated terms."""
-    work = work or _kernel_workspace(Q.shape[0], len(plan.rest))
+    work = work or _kernel_workspace(Q.shape[0], plan)
     scale = 2.0 ** (-plan.n / 2)
     return [complex(math.fsum(t.real), math.fsum(t.imag)) * scale
             for t in _overlap_terms(Q, plan, work)]

@@ -26,7 +26,7 @@ from graphent import (
 )
 from graphent.catalog import PAIR_PHI
 from graphent.graphs import max_independent_set
-from graphent.optimize import SUCCESS_TOL, _gauge_fix_rows, usable_cpu_count
+from graphent.optimize import SUCCESS_TOL, usable_cpu_count
 from graphent.states import (
     PAIR_MINUS,
     PAIR_ONE,
@@ -34,8 +34,10 @@ from graphent.states import (
     PAIR_ZERO,
     _batch_fidelity,
     _batch_partials,
+    _coordinate_partials,
     _eliminated_signs,
     _elimination_plan,
+    _gauge_fix_rows,
     _kernel_workspace,
     _product_weights,
     _random_pairs,
@@ -195,20 +197,45 @@ class TestCoordinateUpdate:
         # temporaries in a workspace; it must equal, bit for bit, the explicit
         # elimination sum of _explicit_partials, with a shared workspace
         # holding more rows than used or a fresh one, and with the rows'
-        # eliminated signs passed in or built by the call
+        # eliminated signs passed in or built by the call; so must every pair
+        # _coordinate_partials yields, in a snapshot pass and in a sweep that
+        # changes no qubit between pairs
         cases = [random_graph(rng, n=n) for n in (1, 2, 3, 6, 9, 12, 16)]
         cases += [builtin_family("empty", 5), builtin_family("star", 6)]
         for g in cases:
             plan = _elimination_plan(g)
-            work = _kernel_workspace(9, len(plan.rest))
+            work = _kernel_workspace(9, plan)
             for rows in (9, 4, 1):
                 Q = rng.normal(size=(rows, g.n, 2)) + 1j * rng.normal(size=(rows, g.n, 2))
                 v = _eliminated_signs(Q, plan, work)
-                for j in range(g.n):
-                    plain = _explicit_partials(g, Q, j)
+                plains = [_explicit_partials(g, Q, j) for j in range(g.n)]
+                for j, plain in enumerate(plains):
                     assert np.array_equal(_batch_partials(Q, plan, j, work, v), plain)
                     assert np.array_equal(_batch_partials(Q, plan, j, work), plain)
                     assert np.array_equal(_batch_partials(Q, plan, j), plain)
+                for ws in (work, _kernel_workspace(rows, plan)):
+                    for sweep in (False, True):
+                        pairs = list(_coordinate_partials(Q, plan, range(g.n), ws, sweep))
+                        assert len(pairs) == g.n
+                        assert all(map(np.array_equal, pairs, plains))
+
+    def test_sweep_rebuilds_signs_only_after_an_independent_qubit(self, monkeypatch):
+        # on C8, I = {0, 2, 4, 6} and C = {1, 3, 5, 7}: a snapshot pass builds
+        # the rows' eliminated signs once; a sweep drops them after each
+        # coordinate of I, so it builds them for every coordinate of C that
+        # follows one, 4 times
+        g = builtin_family("cycle", 8)
+        plan = _elimination_plan(g)
+        assert (plan.independent, plan.rest) == ((0, 2, 4, 6), (1, 3, 5, 7))
+        calls = []
+        monkeypatch.setattr("graphent.states._eliminated_signs",
+                            lambda *a: calls.append(1) or _eliminated_signs(*a))
+        Q = _random_pairs(np.random.default_rng(0), 3 * 8).reshape(3, 8, 2)
+        for sweep, builds in ((False, 1), (True, 4)):
+            calls.clear()
+            pairs = list(_coordinate_partials(Q, plan, range(8), _kernel_workspace(3, plan),
+                                              sweep))
+            assert len(pairs) == 8 and len(calls) == builds
 
     def test_batch_size_does_not_change_a_row(self, rng):
         # a row's partials, fidelity and fsum overlap are the same bits in a
@@ -224,7 +251,7 @@ class TestCoordinateUpdate:
                 whole = _batch_partials(Q, plan, j)
                 for rows in (4, 1):
                     assert np.array_equal(_batch_partials(Q[:rows], plan, j), whole[:rows])
-            work = _kernel_workspace(9, len(plan.rest))
+            work = _kernel_workspace(9, plan)
             whole = _batch_fidelity(Q, plan, work)
             fsums = _row_overlaps(Q, plan)
             for rows in (4, 1):
