@@ -194,16 +194,8 @@ def _entry_from_dict(d: dict, where: str) -> CatalogEntry:
         raise CatalogError(f"{where}: entry needs 'id' and 'n'")
     if "edges" not in d and not isinstance(d.get("graph6"), str):
         raise CatalogError(f"{where}: entry needs 'edges' or a 'graph6' string")
-    try:
-        n = _integer(d["n"])
-        g = build_graph(n, d["edges"]) if "edges" in d else parse_graph6(d["graph6"])
-        expected = parse_exact_value(d["expected"]) if "expected" in d else None
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"{where}: {exc}") from exc
     if "ps" in d and (type(d["ps"]) not in (int, float) or not 0 <= d["ps"] <= 1):
         raise CatalogError(f"{where}: 'ps' must be a number in [0, 1], got {d['ps']!r}")
-    if g.n != n:
-        raise CatalogError(f"{where}: graph6 has {g.n} vertices, 'n' says {n}")
     try:
         ident = d["id"] if isinstance(d["id"], str) else str(_integer(d["id"]))
     except TypeError:
@@ -211,14 +203,21 @@ def _entry_from_dict(d: dict, where: str) -> CatalogEntry:
             f"{where}: 'id' must be a string or an integer, got {d['id']!r}") from None
     if not isinstance(d.get("notes", ""), str):
         raise CatalogError(f"{where}: 'notes' must be a string, got {d['notes']!r}")
-    return CatalogEntry(
-        id=ident,
-        graph=g,
-        expected=expected,
-        category=d.get("category"),
-        ps_reference=float(d["ps"]) if "ps" in d else None,
-        notes=d.get("notes"),
-    )
+    try:
+        n = _integer(d["n"])
+        g = build_graph(n, d["edges"]) if "edges" in d else parse_graph6(d["graph6"])
+        if g.n != n:
+            raise ValueError(f"graph6 has {g.n} vertices, 'n' says {n}")
+        return CatalogEntry(
+            id=ident,
+            graph=g,
+            expected=parse_exact_value(d["expected"]) if "expected" in d else None,
+            category=d.get("category"),
+            ps_reference=float(d["ps"]) if "ps" in d else None,
+            notes=d.get("notes"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"{where}: {exc}") from exc
 
 
 def load_catalog(path) -> list[CatalogEntry]:

@@ -14,7 +14,8 @@ becomes a :class:`ProductState`.  :func:`initial_state_for_restart` and
 
 The engine drives rows: :mod:`graphent.states` gives it each coordinate's
 partial pairs and the rows' fidelities, and alone decides how to contract
-them and what a sweep may reuse.
+them and what a sweep may reuse, and prices a row (3 * 2**|C| elements): a
+block holds at most 2**21 elements (32 MiB), a presample chunk 2**14 (256 KiB).
 
 Coordinates can be pinned (never updated) to break correlated update
 equations: the per-round schedule can circle forever on a graph whose
@@ -51,6 +52,7 @@ from .states import (
     _normalized_rows,
     _random_pairs,
     _row_overlaps,
+    _rows_within,
     _state_to_row,
     fidelity,
     fubini_study_distance,
@@ -79,16 +81,12 @@ SUCCESS_TOL = 1e-14  # the paper's precision for E
 DEGENERATE_EPS = 1e-300
 SNAP_MAX_DISTANCE = 0.05
 
-# _block_size allows _ENGINE_BLOCK_ELEMS >> (n - 1) rows, a rule that prices a
-# row at 2**(n-1) elements.  A row's workspace holds 3 * 2**|C| <= 3 * 2**(n-1),
-# so a rule keyed on |C| would allow more rows on most graphs, yet change no
-# block graphbench runs: 500 restarts at n <= 8 fit one block either way, and
-# large-n's split over two threads caps its blocks at 4 or 16 rows.
+# Workspace budgets in elements, at states._rows_within's price per row.  The
+# engine's bounds a search's memory on every graph, yet leaves K16 blocks of 21
+# rows.  Presample's is far smaller: each sample is scored once, and chunks that
+# stay in cache score faster than blocks of the engine's size.
 _ENGINE_BLOCK_ELEMS = 1 << 21
-# presample scores _PRESAMPLE_ELEMS >> n samples at a time, so its workspace
-# does not grow with the count; the rule prices a sample at 2**n elements, and
-# a sample's workspace holds 3 * 2**|C| <= 1.5 * 2**n.
-_PRESAMPLE_ELEMS = 1 << 16
+_PRESAMPLE_ELEMS = 1 << 14
 
 # Named pin values; ``random`` keeps each restart's own draw for the qubit.
 FIX_VALUES = {
@@ -296,7 +294,6 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     plan = _elimination_plan(g)
     work = _kernel_workspace(R, plan)
     sequential = cfg.mode == "sequential"
-    active = np.ones(R, dtype=bool)
     converged = np.zeros(R, dtype=bool)
     stalled = np.zeros(R, dtype=bool)
     rounds_used = np.zeros(R, dtype=np.int64)
@@ -307,7 +304,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     best_seen = F_prev.copy()
 
     for _ in range(cfg.rounds):
-        live = np.flatnonzero(active)
+        live = np.flatnonzero(~(converged | stalled))
         if not live.size:
             break
         rounds_used[live] += 1
@@ -347,7 +344,6 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
             rows = live[check]
             converged[rows[done]] = True
             stalled[rows[bad]] = True
-            active[rows[done | bad]] = False
         F_prev[live] = F_round
 
     finals = [abs(z) ** 2 for z in _row_overlaps(Q, plan, work)]
@@ -431,11 +427,9 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _block_size(n: int, restarts: int, threads: int) -> int:
-    size = max(1, _ENGINE_BLOCK_ELEMS >> max(0, n - 1))
-    if threads > 1:
-        size = min(size, max(1, -(-restarts // threads)))
-    return min(size, restarts)
+def _block_size(plan, restarts: int, threads: int) -> int:
+    """Rows per engine block: within its budget, and a block for every thread."""
+    return min(_rows_within(plan, _ENGINE_BLOCK_ELEMS), -(-restarts // threads))
 
 
 def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> OptimizationResult:
@@ -452,9 +446,9 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
         raise ValueError(f"threads must be >= 1, got {threads}")
     threads = min(threads, usable_cpu_count())
     free = _free_coordinates(g, cfg.fixed)
-    block = _block_size(g.n, cfg.restarts, threads)
+    # the plan's cache fills here, not in every pool thread at once
+    block = _block_size(_elimination_plan(g), cfg.restarts, threads)
     starts = list(range(0, cfg.restarts, block))
-    _elimination_plan(g)  # fill its cache here, not in every pool thread at once
 
     def run_span(start: int) -> tuple[list[RestartSummary], np.ndarray]:
         Q = _restart_rows(g, cfg, start, min(block, cfg.restarts - start))
@@ -500,13 +494,11 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     min_F, max_F = math.inf, -math.inf
-    chunk = max(1, _PRESAMPLE_ELEMS >> n)
     plan = _elimination_plan(g)
+    chunk = _rows_within(plan, _PRESAMPLE_ELEMS)
     work = _kernel_workspace(chunk, plan)
-    remaining = count
-    while remaining:
-        m = min(chunk, remaining)
-        remaining -= m
+    for start in range(0, count, chunk):
+        m = min(chunk, count - start)
         F = _batch_fidelity(_random_pairs(rng, m * n).reshape(m, n, 2), plan, work)
         min_F = min(min_F, float(F.min()))
         max_F = max(max_F, float(F.max()))

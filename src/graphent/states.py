@@ -22,6 +22,8 @@ graph's :class:`_EliminationPlan` (the one per-graph cache) holds I, C and
 those signs.  The engine's partials, from :func:`_coordinate_partials`, are
 plain sums of 2**|C| terms; the reported overlaps use error-free summation
 (:func:`math.fsum`) because the entanglement figures are quoted to 1e-14.
+A row costs 3 * 2**|C| workspace elements, priced by :func:`_rows_within`
+alone: the search's blocks hold at most 2**21, presample's chunks 2**14.
 """
 
 from __future__ import annotations
@@ -284,6 +286,11 @@ def _kernel_workspace(R: int, plan: _EliminationPlan) -> tuple[np.ndarray, np.nd
     """
     N = R << len(plan.rest)
     return np.empty(N, dtype=np.complex128), np.empty(2 * N, dtype=np.complex128)
+
+
+def _rows_within(plan: _EliminationPlan, elems: int) -> int:
+    """The most rows, at least one, whose workspace holds at most ``elems``."""
+    return max(1, elems // (3 << len(plan.rest)))
 
 
 def _product_weights(Q: np.ndarray, skip: int | None = None, work=None) -> np.ndarray:

@@ -81,7 +81,7 @@ class TestExactValue:
         with pytest.raises(CatalogError):
             parse_exact_value("1+log2(5-sqrt5)")
 
-    @pytest.mark.parametrize("text", ["1/0", "1/0*log2(3)", "x"])
+    @pytest.mark.parametrize("text", ["1/0", "1/0*log2(3)", "x", "1++2", "log23", "2log2(3)"])
     def test_malformed_rational_rejected(self, text):
         with pytest.raises(CatalogError):
             parse_exact_value(text)
@@ -194,6 +194,9 @@ class TestCatalogIO:
         '{"id": 1, "n": true, "edges": []}',
         '{"id": 1, "n": 2, "edges": [[true, false]]}',
         '{"id": 2, "n": 5.0, "graph6": "D??"}',
+        '{"id": 2, "n": 4, "graph6": "D??"}',
+        '{"id": 1, "n": 2, "edges": [[0, 1]], "category": "T9"}',
+        '{"id": 1, "n": 2, "edges": [[0, 1]], "category": "T3"}',
         '5',
     ])
     def test_malformed_entry_rejected(self, tmp_path, line):

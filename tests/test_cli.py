@@ -482,6 +482,19 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "bounds", "--edges", "/no/such/file")
         assert code == 2
 
+    # Input checks no other test reaches: a pin off the graph, a graph6 header
+    # past 62 vertices, an edge file with no edge and no vertex count.
+    @pytest.mark.parametrize("argv,code", [
+        (("compute", "--family", "cycle:5", "--fix", "7=|0>"), 2),
+        (("bounds", "--graph6", "~??~"), 1),
+        (("bounds", "--edges", "{comments}"), 2),
+    ], ids=["fix-out-of-range", "graph6-too-large", "edges-only-comments"])
+    def test_input_check_exit_code(self, capsys, tmp_path, argv, code):
+        comments = tmp_path / "g.txt"
+        comments.write_text("# a comment\n\n# and no edge\n")
+        got, out, err = run_cli(capsys, *(a.format(comments=comments) for a in argv))
+        assert got == code and out == "" and err.startswith("graphent: ")
+
     def test_snap_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "snap", "/no/such/result.json")
         assert code == 2
@@ -494,6 +507,11 @@ class TestUsageErrors:
         '{"graph": {"n": 1, "edges": []}, "best_state": [[[NaN,0],[0,0]]]}',
         '{"graph": {"n": 2, "edges": [[true, false]]}, '
         '"best_state": [[[1,0],[0,0]],[[1,0],[0,0]]]}',
+        '{"graph": {"n": 5, "edges": [[0,1]]}, "best_state": {}}',
+        '{"graph": {"n": 5, "edges": [[0,1]]}, "best_state": []}',
+        '{"graph": {"n": 5, "edges": [[0,1]]}, '
+        '"best_state": [[[1,0],[0,0]],[[1,0],[0,0]],[[1,0],[0,0]],[[1,0],[0,0]]]}',
+        '{"graph": {"n": 1, "edges": []}, "best_state": [[[0,0],[0,1]]]}',
     ])
     def test_snap_malformed_file(self, capsys, tmp_path, content):
         path = tmp_path / "result.json"

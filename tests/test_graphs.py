@@ -57,6 +57,17 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(3, [(0, 3)])
 
+    # Graph checks its rows itself, for callers that bypass build_graph.
+    @pytest.mark.parametrize("n,rows,message", [
+        (3, (0b010, 0b100), "rows length"),
+        (2, (0b100, 0b00), "bits outside"),
+        (2, (0b01, 0b00), "self-loop"),
+        (2, (0b10, 0b00), "not symmetric"),
+    ])
+    def test_bad_rows_rejected(self, n, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, rows)
+
     def test_too_many_vertices(self):
         with pytest.raises(CapabilityError):
             build_graph(17, [])

@@ -451,6 +451,24 @@ class TestOptimize:
         assert serial.records == threaded.records
         assert serial.best_state == threaded.best_state
 
+    def test_block_is_priced_by_the_plan(self):
+        # a row costs 3 * 2**|C| elements: K16 keeps |C| = 15, the 16-ring 8
+        K16, C16 = builtin_family("complete", 16), builtin_family("cycle", 16)
+        assert optimize_mod._block_size(_elimination_plan(K16), 64, 1) == 21
+        assert optimize_mod._block_size(_elimination_plan(C16), 64, 1) == 64
+        assert optimize_mod._block_size(_elimination_plan(C16), 64, 2) == 32
+
+    @pytest.mark.parametrize("mode", ["sequential", "per-round"])
+    def test_block_budget_does_not_change_a_result(self, mode, monkeypatch):
+        # 16 rows of K12 fill buffers past numpy's 256 KiB temporary elision
+        g = builtin_family("complete", 12)
+        cfg = small_cfg(restarts=16, rounds=3, mode=mode)
+        whole = optimize(g, cfg)
+        monkeypatch.setattr(optimize_mod, "_ENGINE_BLOCK_ELEMS", 1)
+        single = optimize(g, cfg)
+        assert single.records == whole.records
+        assert single.best_state == whole.best_state
+
     def test_restart_streams_independent_of_count(self):
         # restart i sees the same stream whether 10 or 40 restarts run
         g = builtin_family("cycle", 4)
@@ -623,6 +641,22 @@ class TestPresample:
         monkeypatch.setattr(np.random, "default_rng", lambda *a: _ScriptedNormals(values))
         rep = presample(builtin_family("empty", 1), 1)
         assert 0 < rep.max_F <= 1
+
+    def test_chunk_is_priced_by_the_plan(self, monkeypatch):
+        # 21 samples of the 16-ring (|C| = 8) fit the chunk budget
+        calls = []
+        real = optimize_mod._batch_fidelity
+        monkeypatch.setattr(optimize_mod, "_batch_fidelity",
+                            lambda Q, *a: calls.append(len(Q)) or real(Q, *a))
+        presample(builtin_family("cycle", 16), 500)
+        assert len(calls) == 24 and max(calls) == 21
+
+    def test_chunk_budget_does_not_change_the_report(self, monkeypatch):
+        for g in (builtin_family("cycle", 16), builtin_family("complete", 12)):
+            whole = presample(g, 300, seed=4)
+            with monkeypatch.context() as m:
+                m.setattr(optimize_mod, "_PRESAMPLE_ELEMS", 1)
+                assert presample(g, 300, seed=4) == whole
 
     def test_deterministic(self):
         a = presample(builtin_family("cycle", 4), 10000, seed=9)
