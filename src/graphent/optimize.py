@@ -17,6 +17,12 @@ partial pairs and the rows' fidelities, and alone decides how to contract
 them and what a sweep may reuse, and prices a row (3 * 2**|C| elements): a
 block holds at most 2**21 elements (32 MiB), a presample chunk 2**14 (256 KiB).
 
+Threads follow the work: the restarts split into one block per thread only
+while each thread's share holds at least 2**17 elements, because threads that
+issue small numpy calls mostly pass the GIL to one another.  The calling
+thread runs one share of the blocks and a pool of the other threads the rest;
+it makes each share's workspace before the pool starts.
+
 Coordinates can be pinned (never updated) to break correlated update
 equations: the per-round schedule can circle forever on a graph whose
 update equations depend on each other (the Bell pair is the smallest), and
@@ -49,6 +55,7 @@ from .states import (
     _coordinate_partials,
     _elimination_plan,
     _kernel_workspace,
+    _normal_draws,
     _normalized_rows,
     _random_pairs,
     _row_overlaps,
@@ -84,9 +91,12 @@ SNAP_MAX_DISTANCE = 0.05
 # Workspace budgets in elements, at states._rows_within's price per row.  The
 # engine's bounds a search's memory on every graph, yet leaves K16 blocks of 21
 # rows.  Presample's is far smaller: each sample is scored once, and chunks that
-# stay in cache score faster than blocks of the engine's size.
+# stay in cache score faster than blocks of the engine's size.  A thread's share
+# of the restarts must hold the third before it gets a thread of its own: with
+# less, the threads mostly pass the GIL between small numpy calls.
 _ENGINE_BLOCK_ELEMS = 1 << 21
 _PRESAMPLE_ELEMS = 1 << 14
+_THREAD_SHARE_ELEMS = 1 << 17
 
 # Named pin values; ``random`` keeps each restart's own draw for the qubit.
 FIX_VALUES = {
@@ -282,17 +292,19 @@ def _batch_residuals(Q: np.ndarray, plan, free, work) -> np.ndarray:
 
 
 def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int],
-                   first: int = 0, trace: list[float] | None = None):
+                   first: int = 0, trace: list[float] | None = None, work=None):
     """Run the fixed-point iteration on a block of restart rows, in place, and
     score each final row.
 
     Row i is restart ``first + i``.  Each round updates only the rows still
     active.  Returns the rows' summaries and degenerate-step counts; a
     one-row block appends its fidelity after every update to ``trace``.
+    ``work`` is a :func:`_kernel_workspace` of at least the block's rows,
+    made here when not passed.
     """
     R = Q.shape[0]
     plan = _elimination_plan(g)
-    work = _kernel_workspace(R, plan)
+    work = work or _kernel_workspace(R, plan)
     sequential = cfg.mode == "sequential"
     converged = np.zeros(R, dtype=bool)
     stalled = np.zeros(R, dtype=bool)
@@ -382,10 +394,12 @@ def _pin(Q: np.ndarray, fixed: FixedCoordinateSpec | None) -> np.ndarray:
 
 def _restart_rows(g: Graph, cfg: OptimizerConfig, start: int, count: int) -> np.ndarray:
     """(count, n, 2) initial rows of restarts start, start + 1, ..., pinned;
-    restart i draws its qubits from stream ``(seed, i)``."""
-    rows = [_random_pairs(np.random.default_rng(np.random.SeedSequence((cfg.seed, i))), g.n)
-            for i in range(start, start + count)]
-    return _pin(np.stack(rows), cfg.fixed)
+    restart i draws its qubits' normals from stream ``(seed, i)``, and the
+    block's normals are normalised in one call."""
+    draws = [_normal_draws(np.random.default_rng(np.random.SeedSequence((cfg.seed, i))), g.n)
+             for i in range(start, start + count)]
+    rows = _normalized_rows(np.concatenate(draws).view(np.complex128))
+    return _pin(rows.reshape(count, g.n, 2), cfg.fixed)
 
 
 def initial_state_for_restart(g: Graph, cfg: OptimizerConfig, index: int) -> ProductState:
@@ -428,7 +442,14 @@ def usable_cpu_count() -> int:
 
 
 def _block_size(plan, restarts: int, threads: int) -> int:
-    """Rows per engine block: within its budget, and a block for every thread."""
+    """Rows per engine block: within its budget, and a block for every thread
+    whose share holds at least :data:`_THREAD_SHARE_ELEMS`.
+
+    Fewer elements per thread leave the threads handing the GIL back and forth
+    between small numpy calls, slower than one thread, so the restarts then
+    split into fewer blocks than ``threads``, down to one.
+    """
+    threads = min(threads, max(1, restarts // _rows_within(plan, _THREAD_SHARE_ELEMS)))
     return min(_rows_within(plan, _ENGINE_BLOCK_ELEMS), -(-restarts // threads))
 
 
@@ -439,7 +460,11 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     stream ``(seed, restart_index)`` and per-restart arithmetic does not
     depend on batching, so the result is identical for any thread count.
     The winner is the maximum final fidelity, ties to the lowest index.
-    ``threads`` must be >= 1 and is clamped to :func:`usable_cpu_count`.
+    ``threads`` must be >= 1 and is an upper bound: it is clamped to
+    :func:`usable_cpu_count`, and a thread is used only for a share of at
+    least :data:`_THREAD_SHARE_ELEMS` workspace elements
+    (:func:`_block_size`).  Share k runs blocks k, k + threads, ...; the
+    calling thread runs share 0 and a pool of ``threads - 1`` workers the rest.
     """
     cfg = cfg or OptimizerConfig()
     if threads < 1:
@@ -447,18 +472,31 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     threads = min(threads, usable_cpu_count())
     free = _free_coordinates(g, cfg.fixed)
     # the plan's cache fills here, not in every pool thread at once
-    block = _block_size(_elimination_plan(g), cfg.restarts, threads)
+    plan = _elimination_plan(g)
+    block = _block_size(plan, cfg.restarts, threads)
     starts = list(range(0, cfg.restarts, block))
+    threads = min(threads, len(starts))
+    # Each share reuses one workspace, made here: made in a pool thread, it
+    # came from that thread's malloc arena, which at times grew by a block's
+    # 4 MiB for good (K16) and raised the peak RSS.
+    works = [_kernel_workspace(block, plan) for _ in range(threads)]
 
-    def run_span(start: int) -> tuple[list[RestartSummary], np.ndarray]:
-        Q = _restart_rows(g, cfg, start, min(block, cfg.restarts - start))
-        return _iterate_block(g, Q, cfg, free, start)[0], Q
+    def run_share(k: int) -> list[tuple[list[RestartSummary], np.ndarray]]:
+        """Blocks k, k + threads, ...: share k of the search."""
+        results = []
+        for start in starts[k::threads]:
+            Q = _restart_rows(g, cfg, start, min(block, cfg.restarts - start))
+            results.append((_iterate_block(g, Q, cfg, free, start, work=works[k])[0], Q))
+        return results
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_span, starts))
+    # the calling thread runs share 0 while the pool runs the others
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            others = pool.map(run_share, range(1, threads))
+            shares = [run_share(0), *others]
     else:
-        results = [run_span(start) for start in starts]
+        shares = [run_share(0)]
+    results = [shares[b % threads][b // threads] for b in range(len(starts))]
 
     records = [s for summaries, _ in results for s in summaries]
     # max keeps the first maximum, so ties go to the lowest index

@@ -129,9 +129,8 @@ def fubini_study_distance(a: QubitAmplitudePair, b: QubitAmplitudePair) -> float
     return math.acos(min(1.0, abs(pair_overlap(a, b))))
 
 
-def _random_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 2) amplitudes of n qubits uniform on the Bloch sphere, from n draws
-    of four normals (re x, im x, re y, im y), by :func:`_normalized_rows`.
+def _normal_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4) normals (re x, im x, re y, im y) of n qubits, none all 0.
 
     A qubit whose four normals are all 0 is drawn again, and the later
     qubits shift to later draws, as n calls of :func:`haar_random_pair` do.
@@ -140,7 +139,13 @@ def _random_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
     while not v.any(axis=1).all():
         kept = v[v.any(axis=1)]
         v = np.concatenate((kept, rng.standard_normal((n - len(kept), 4))))
-    return _normalized_rows(v.view(np.complex128))
+    return v
+
+
+def _random_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 2) amplitudes of n qubits uniform on the Bloch sphere: the
+    :func:`_normal_draws` of n qubits, by :func:`_normalized_rows`."""
+    return _normalized_rows(_normal_draws(rng, n).view(np.complex128))
 
 
 def haar_random_pair(rng: np.random.Generator) -> QubitAmplitudePair:

@@ -146,19 +146,21 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--family", "cycle:4", "--auto-fix")
         assert code == 2 and "--auto-fix" in err
 
-    def test_threads_flag_byte_identical(self, capsys):
+    def test_threads_flag_byte_identical(self, capsys, pooled):
         base = ("compute", "--family", "cycle:5", "--restarts", "30",
                 "--seed", "4", "--format", "json")
         _, out1, _ = run_cli(capsys, *base, "--threads", "1")
         _, out2, _ = run_cli(capsys, *base, "--threads", "3")
+        assert pooled == [1]
         assert out1 == out2
 
-    def test_threads_byte_identical_on_eliminated_kernel(self, capsys):
+    def test_threads_byte_identical_on_eliminated_kernel(self, capsys, pooled):
         # C14 sums out 7 of its 14 qubits; 8 restarts split over 2 threads
         base = ("compute", "--family", "cycle:14", "--restarts", "8", "--rounds", "5",
                 "--format", "json")
         code, out1, _ = run_cli(capsys, *base, "--threads", "1")
         _, out2, _ = run_cli(capsys, *base, "--threads", "2")
+        assert pooled == [1]
         assert code == 0 and out1 == out2
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

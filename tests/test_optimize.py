@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -411,17 +412,18 @@ class TestOptimize:
         winner = min(r.index for r in res.records if r.final_F == res.best_F)
         assert res.best_index == winner
 
-    def test_only_winner_becomes_product_state(self, monkeypatch):
+    def test_only_winner_becomes_product_state(self, monkeypatch, pooled):
         built = []
         real = optimize_mod._rows_to_state
         monkeypatch.setattr(optimize_mod, "_rows_to_state",
                             lambda Q, r: built.append(r) or real(Q, r))
         g = builtin_family("cycle", 6)
         res = optimize(g, small_cfg(restarts=64), threads=2)
+        assert pooled == [1]
         assert len(built) == 1
         assert fidelity(g, res.best_state) == res.best_F
 
-    def test_only_winner_builds_qubit_pairs(self, monkeypatch):
+    def test_only_winner_builds_qubit_pairs(self, monkeypatch, pooled):
         # restarts stay numpy rows from draw to score: the winner's n qubits
         # are the only QubitAmplitudePairs optimize builds
         built = []
@@ -434,6 +436,7 @@ class TestOptimize:
             built.clear()
             optimize(g, small_cfg(restarts=64, mode=mode, fixed=spec), threads=2)
             assert len(built) == g.n
+        assert pooled == [1] * len(optimize_mod.MODES)
 
     def test_deterministic_bitwise(self):
         g = builtin_family("cycle", 5)
@@ -442,11 +445,12 @@ class TestOptimize:
         assert a.best_F == b.best_F and a.records == b.records
         assert a.best_state == b.best_state
 
-    def test_thread_count_invariant(self):
+    def test_thread_count_invariant(self, pooled):
         g = builtin_family("cycle", 6)
         cfg = small_cfg(restarts=64)
         serial = optimize(g, cfg)
         threaded = optimize(g, cfg, threads=4)
+        assert pooled == [1]
         assert serial.best_F == threaded.best_F
         assert serial.records == threaded.records
         assert serial.best_state == threaded.best_state
@@ -456,7 +460,51 @@ class TestOptimize:
         K16, C16 = builtin_family("complete", 16), builtin_family("cycle", 16)
         assert optimize_mod._block_size(_elimination_plan(K16), 64, 1) == 21
         assert optimize_mod._block_size(_elimination_plan(C16), 64, 1) == 64
-        assert optimize_mod._block_size(_elimination_plan(C16), 64, 2) == 32
+        # a thread's share must hold 2**17 elements: 170 rows of C16, 1 of K16
+        assert optimize_mod._block_size(_elimination_plan(C16), 64, 2) == 64
+        assert optimize_mod._block_size(_elimination_plan(C16), 1000, 2) == 500
+        assert optimize_mod._block_size(_elimination_plan(K16), 8, 2) == 4
+
+    def test_small_search_starts_no_pool(self, monkeypatch):
+        # 64 rows of the 6-ring hold 1,536 elements: too few to repay a thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started for a small search")
+
+        monkeypatch.setattr(optimize_mod, "ThreadPoolExecutor", no_pool)
+        optimize(builtin_family("cycle", 6), small_cfg(restarts=64), threads=2)
+
+    def test_caller_runs_a_share(self, pools):
+        # two blocks of 4 K16 rows: the calling thread runs one, one worker the other
+        optimize(builtin_family("complete", 16), small_cfg(restarts=8, rounds=1), threads=2)
+        assert pools == [1]
+
+    def test_more_blocks_than_threads(self, monkeypatch, pooled):
+        # 10 restarts of the 6-ring in 5 blocks of 2 rows over 2 threads: the
+        # calling thread runs blocks 0, 2 and 4, the worker blocks 1 and 3
+        g = builtin_family("cycle", 6)
+        monkeypatch.setattr(optimize_mod, "_ENGINE_BLOCK_ELEMS", 2 * (3 << 3))
+        ran = {}
+        real = optimize_mod._iterate_block
+        monkeypatch.setattr(optimize_mod, "_iterate_block", lambda g, Q, cfg, free, first, **kw: (
+            ran.setdefault(threading.get_ident(), []).append(first)
+            or real(g, Q, cfg, free, first, **kw)))
+        winners = set()
+        for seed in range(4):
+            cfg = small_cfg(restarts=10, seed=seed)
+            serial = optimize(g, cfg)
+            ran.clear()
+            threaded = optimize(g, cfg, threads=2)
+            assert ran.pop(threading.get_ident()) == [0, 4, 8]
+            assert list(ran.values()) == [[2, 6]]
+            assert [r.index for r in threaded.records] == list(range(10))
+            assert threaded.records == serial.records
+            assert threaded.best_state == serial.best_state
+            assert fidelity(g, threaded.best_state) == threaded.best_F
+            winners.add(threaded.best_index // 2)
+        assert pooled == [1] * 4
+        assert winners & {1, 3}, "no winner in the worker's blocks"
 
     @pytest.mark.parametrize("mode", ["sequential", "per-round"])
     def test_block_budget_does_not_change_a_result(self, mode, monkeypatch):
@@ -552,7 +600,7 @@ class TestRestartRows:
         assert _random_pairs(_ScriptedNormals(values), 4).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["sequential", "per-round"])
-    def test_run_restart_repeats_optimize_record(self, mode):
+    def test_run_restart_repeats_optimize_record(self, mode, pooled):
         g = builtin_family("cycle", 5)
         for fixed in (None, FixedCoordinateSpec(((1, PAIR_ZERO), (3, None)))):
             cfg = small_cfg(restarts=24, rounds=60, mode=mode, fixed=fixed)
@@ -561,6 +609,7 @@ class TestRestartRows:
                 rec = run_restart(g, initial_state_for_restart(g, cfg, r.index), cfg)
                 assert (rec.final_F, rec.converged, rec.stalled, rec.rounds) == \
                     (r.final_F, r.converged, r.stalled, r.rounds)
+        assert pooled == [1, 1]
 
 
 class TestFixedCoordinates:
