@@ -19,7 +19,7 @@ block holds at most 2**21 elements (32 MiB), a presample chunk 2**14 (256 KiB).
 
 Threads follow the work: the restarts split into one block per thread only
 while each thread's share holds at least 2**17 elements, because threads that
-issue small numpy calls mostly pass the GIL to one another.  The calling
+make small numpy calls mostly pass the GIL to one another.  The calling
 thread runs one share of the blocks and a pool of the other threads the rest;
 it makes each share's workspace before the pool starts.
 
