@@ -50,78 +50,98 @@ def _seed(args) -> int:
     raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
 
 
-def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    return argparse.ArgumentParser(add_help=False, parents=list(parents))
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``graphent`` parser.  Every command is listed, but only the one that
+    ``argv`` names gets a parser and its arguments (each does when ``argv`` is
+    None): argparse spends about 0.1 ms on every parser it makes, which for
+    all seven commands was most of a one-graph call."""
+    chosen = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     defaults = OptimizerConfig()
-    fmt = _parent()
-    fmt.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    seed = _parent()
-    seed.add_argument("--seed", type=int, default=None,
-                      help=f"RNG seed (default: $GRAPHENT_SEED or {defaults.seed})")
-    catalog = _parent()
-    catalog.add_argument("--catalog", metavar="FILE",
-                         help="catalog file (default: the shipped seed catalog)")
 
-    source = _parent(catalog)
-    src = source.add_argument_group("graph source (exactly one)")
-    src.add_argument("--family", metavar="NAME:N",
-                     help="built-in family, e.g. cycle:5, star:4, path:6")
-    src.add_argument("--edges", metavar="FILE",
-                     help="edge-list text file, one 'a b' pair per line")
-    src.add_argument("--graph6", metavar="G6", help="graph6 string")
-    src.add_argument("--catalog-id", metavar="ID",
-                     help="entry id from the catalog (see --catalog)")
+    def fmt(p):
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    optimizer = _parent(seed)
-    opt = optimizer.add_argument_group("optimizer")
-    opt.add_argument("--restarts", type=int, default=defaults.restarts)
-    opt.add_argument("--rounds", type=int, default=defaults.rounds)
-    opt.add_argument("--mode", choices=MODES, default=defaults.mode)
-    opt.add_argument("--threads", type=int, default=usable_cpu_count())
+    def seed(p):
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"RNG seed (default: $GRAPHENT_SEED or {defaults.seed})")
+
+    def catalog(p):
+        p.add_argument("--catalog", metavar="FILE",
+                       help="catalog file (default: the shipped seed catalog)")
+
+    def source(p):
+        catalog(p)
+        src = p.add_argument_group("graph source (exactly one)")
+        src.add_argument("--family", metavar="NAME:N",
+                         help="built-in family, e.g. cycle:5, star:4, path:6")
+        src.add_argument("--edges", metavar="FILE",
+                         help="edge-list text file, one 'a b' pair per line")
+        src.add_argument("--graph6", metavar="G6", help="graph6 string")
+        src.add_argument("--catalog-id", metavar="ID",
+                         help="entry id from the catalog (see --catalog)")
+
+    def optimizer(p):
+        seed(p)
+        opt = p.add_argument_group("optimizer")
+        opt.add_argument("--restarts", type=int, default=defaults.restarts)
+        opt.add_argument("--rounds", type=int, default=defaults.rounds)
+        opt.add_argument("--mode", choices=MODES, default=defaults.mode)
+        opt.add_argument("--threads", type=int, default=usable_cpu_count())
+
+    def compute(p):
+        p.add_argument("--fix", action="append", default=[], metavar="J=VAL",
+                       help="pin qubit J to |0>, |1>, |+>, |-> or random; repeatable")
+        p.add_argument("--presample", type=int, default=0, metavar="N",
+                       help="evaluate N random states first and report the range")
+        p.add_argument("--snap", action="store_true",
+                       help="snap the best state to the exact alphabet")
+        p.add_argument("--output", metavar="FILE", help="also write the JSON result here")
+        p.add_argument("--trace-csv", metavar="FILE",
+                       help="write the best restart's fidelity trace as CSV")
+
+    def orbit(p):
+        p.add_argument("--max-graphs", type=int, default=LC_ORBIT_DEFAULT_CAP)
+        p.add_argument("--show", action="store_true", help="list orbit members as graph6")
+
+    def presample_(p):
+        p.add_argument("--count", type=int, default=1_000_000)
+
+    def snap(p):
+        p.add_argument("result", metavar="RESULT.json",
+                       help="file written by 'compute --output'")
+
+    # name, run, help, then what builds the arguments: the shared parts, then
+    # --format, then the command's own
+    commands = (
+        ("compute", _cmd_compute, "run the closest-product-state search",
+         (source, optimizer, fmt, compute)),
+        ("bounds", _cmd_bounds, "combinatorial entanglement bounds", (source, fmt)),
+        ("classify", _cmd_bounds, "bounds plus category report", (source, fmt)),
+        ("orbit", _cmd_orbit, "enumerate the local-complementation orbit",
+         (source, fmt, orbit)),
+        ("presample", _cmd_presample, "fidelity range over random product states",
+         (source, seed, fmt, presample_)),
+        ("table", _cmd_table, "run the whole catalog and report per entry",
+         (catalog, optimizer, fmt)),
+        ("snap", _cmd_snap, "snap a saved compute result to exact states", (fmt, snap)),
+    )
+
+    def subparser(listed_only=False, **kwargs):
+        """argparse's parser class for the commands: one that is not run needs
+        only its name and help in the listing, and no parser."""
+        return None if listed_only else argparse.ArgumentParser(**kwargs)
 
     parser = argparse.ArgumentParser(
         prog="graphent",
         description="Entanglement of graph states: bounds, iteration, reports.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, run, help_, *parents):
-        p = sub.add_parser(name, help=help_, parents=[*parents, fmt])
-        p.set_defaults(run=run)
-        return p
-
-    p = command("compute", _cmd_compute, "run the closest-product-state search",
-                source, optimizer)
-    p.add_argument("--fix", action="append", default=[], metavar="J=VAL",
-                   help="pin qubit J to |0>, |1>, |+>, |-> or random; repeatable")
-    p.add_argument("--presample", type=int, default=0, metavar="N",
-                   help="evaluate N random states first and report the range")
-    p.add_argument("--snap", action="store_true",
-                   help="snap the best state to the exact alphabet")
-    p.add_argument("--output", metavar="FILE", help="also write the JSON result here")
-    p.add_argument("--trace-csv", metavar="FILE",
-                   help="write the best restart's fidelity trace as CSV")
-
-    command("bounds", _cmd_bounds, "combinatorial entanglement bounds", source)
-    command("classify", _cmd_bounds, "bounds plus category report", source)
-
-    p = command("orbit", _cmd_orbit, "enumerate the local-complementation orbit", source)
-    p.add_argument("--max-graphs", type=int, default=LC_ORBIT_DEFAULT_CAP)
-    p.add_argument("--show", action="store_true", help="list orbit members as graph6")
-
-    p = command("presample", _cmd_presample, "fidelity range over random product states",
-                source, seed)
-    p.add_argument("--count", type=int, default=1_000_000)
-
-    command("table", _cmd_table, "run the whole catalog and report per entry",
-            catalog, optimizer)
-
-    p = command("snap", _cmd_snap, "snap a saved compute result to exact states")
-    p.add_argument("result", metavar="RESULT.json",
-                   help="file written by 'compute --output'")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    for name, run, help_, parts in commands:
+        p = sub.add_parser(name, help=help_, listed_only=chosen not in (None, name))
+        if p is not None:
+            p.set_defaults(run=run)
+            for part in parts:
+                part(p)
     return parser
 
 
@@ -419,7 +439,8 @@ def _cmd_snap(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

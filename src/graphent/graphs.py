@@ -233,15 +233,66 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, edges)
 
 
+def _complement_at(rows: list[int], a: int) -> None:
+    """Local complementation at vertex ``a``, in place on adjacency rows."""
+    nb = rows[a]
+    for v in bits_of(nb):
+        rows[v] ^= nb & ~(1 << v)
+
+
 def local_complement(g: Graph, a: int) -> Graph:
     """Complement the subgraph induced on the neighbourhood of vertex ``a``."""
     if not (0 <= a < g.n):
         raise ValueError(f"vertex {a} out of range for n={g.n}")
-    nb = g.rows[a]
     rows = list(g.rows)
-    for v in bits_of(nb):
-        rows[v] ^= nb & ~(1 << v)
+    _complement_at(rows, a)
     return Graph(g.n, tuple(rows))
+
+
+def _edges_between(rows: list[int], x: int, y: int) -> int:
+    """Neighbours in the vertex set y, summed over the vertices of x: the
+    edges between x and y when they are disjoint, twice those inside x when
+    y is x."""
+    return sum((rows[v] & y).bit_count() for v in bits_of(x))
+
+
+def lc_reduce(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A sparser member of g's LC orbit, found greedily: ``(rows, steps)``.
+
+    Each pass makes the move that removes the most edges, while one removes
+    any: a local complementation at a vertex, or the pivot on an edge ab
+    (complementation at a, b, then a again).  Ties go to the lowest vertex,
+    then to the first edge of :meth:`Graph.edges`, and single
+    complementations before pivots.  ``steps`` lists the complemented
+    vertices in order, so replaying them on ``g`` gives ``rows``.
+    """
+    rows = list(g.rows)
+    steps: list[int] = []
+    while True:
+        gain, move = 0, ()
+        for a in range(g.n):
+            # complementing at a toggles every pair of its neighbours
+            nb = rows[a]
+            d = nb.bit_count()
+            removed = _edges_between(rows, nb, nb) - d * (d - 1) // 2
+            if removed > gain:
+                gain, move = removed, (a,)
+        for a in range(g.n):
+            for b in bits_of(rows[a] >> a + 1 << a + 1):
+                # the pivot on ab toggles every pair between two of the classes
+                # N(a) only, N(b) only and both, leaving a and b out
+                both = rows[a] & rows[b]
+                xa = rows[a] & ~both & ~(1 << b)
+                xb = rows[b] & ~both & ~(1 << a)
+                removed = sum(2 * _edges_between(rows, x, y) - x.bit_count() * y.bit_count()
+                              for x, y in ((xa, xb), (xa, both), (xb, both)))
+                if removed > gain:
+                    gain, move = removed, (a, b, a)
+        if not move:
+            return tuple(rows), tuple(steps)
+        for a in move:
+            _complement_at(rows, a)
+        steps.extend(move)
 
 
 def is_two_colorable(g: Graph):

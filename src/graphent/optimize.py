@@ -17,6 +17,14 @@ partial pairs and the rows' fidelities, and alone decides how to contract
 them and what a sweep may reuse, and prices a row (3 * 2**|C| elements): a
 block holds at most 2**21 elements (32 MiB), a presample chunk 2**14 (256 KiB).
 
+When the graph's plan has a frame (an LC-reduced representative, see
+:mod:`graphent.states`), a block's rows are mapped into it once, after they
+are drawn and pinned, and iterate there: the coordinate update and the
+residual |y* c0 - x* c1| are covariant under local unitaries, so every
+trajectory is the graph's own.  The free qubits are mapped back (M_q^dagger,
+then normalised) before the final rows are scored, through the path of
+:func:`fidelity`; pins stay as given.
+
 Threads follow the work: the restarts split into one block per thread only
 while each thread's share holds at least 2**17 elements, because threads that
 make small numpy calls mostly pass the GIL to one another.  The calling
@@ -54,9 +62,11 @@ from .states import (
     _batch_fidelity,
     _coordinate_partials,
     _elimination_plan,
+    _into_frame,
     _kernel_workspace,
     _normal_draws,
     _normalized_rows,
+    _out_of_frame,
     _random_pairs,
     _row_overlaps,
     _rows_within,
@@ -89,11 +99,12 @@ DEGENERATE_EPS = 1e-300
 SNAP_MAX_DISTANCE = 0.05
 
 # Workspace budgets in elements, at states._rows_within's price per row.  The
-# engine's bounds a search's memory on every graph, yet leaves K16 blocks of 21
-# rows.  Presample's is far smaller: each sample is scored once, and chunks that
-# stay in cache score faster than blocks of the engine's size.  A thread's share
-# of the restarts must hold the third before it gets a thread of its own: with
-# less, the threads mostly pass the GIL between small numpy calls.
+# engine's bounds a search's memory on every graph, yet leaves blocks of 21
+# rows where |C| = 15.  Presample's is far smaller: each sample is scored
+# once, and chunks that stay in cache score faster than blocks of the engine's
+# size.  A thread's share of the restarts must hold the third before it gets a
+# thread of its own: with less, the threads mostly pass the GIL between small
+# numpy calls.
 _ENGINE_BLOCK_ELEMS = 1 << 21
 _PRESAMPLE_ELEMS = 1 << 14
 _THREAD_SHARE_ELEMS = 1 << 17
@@ -300,11 +311,14 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     active.  Returns the rows' summaries and degenerate-step counts; a
     one-row block appends its fidelity after every update to ``trace``.
     ``work`` is a :func:`_kernel_workspace` of at least the block's rows,
-    made here when not passed.
+    made here when not passed.  With a frame in g's plan the rows iterate as
+    rows of its representative, and the free qubits are mapped back to g
+    before the final rows are scored, through the path of :func:`fidelity`.
     """
     R = Q.shape[0]
     plan = _elimination_plan(g)
     work = work or _kernel_workspace(R, plan)
+    P = _into_frame(Q, plan)
     sequential = cfg.mode == "sequential"
     converged = np.zeros(R, dtype=bool)
     stalled = np.zeros(R, dtype=bool)
@@ -312,7 +326,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     degenerate = np.zeros(R, dtype=np.int64)
     plateau = np.zeros(R, dtype=np.int64)
 
-    F_prev = _batch_fidelity(Q, plan, work)
+    F_prev = _batch_fidelity(P, plan, work)
     best_seen = F_prev.copy()
 
     for _ in range(cfg.rounds):
@@ -320,7 +334,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
         if not live.size:
             break
         rounds_used[live] += 1
-        A = Q[live]
+        A = P[live]
         # per-round mode reads every partial from the rows as the round began
         old = A if sequential else A.copy()
         F_round = F_prev[live]
@@ -338,7 +352,7 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
             F_round = _batch_fidelity(A, plan, work)
             if trace is not None:
                 trace.extend(F_round.tolist())
-        Q[live] = A
+        P[live] = A
 
         improved = F_round > best_seen[live] + STALL_IMPROVE_EPS
         plateau[live] = np.where(improved, 0, plateau[live] + 1)
@@ -358,6 +372,8 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
             stalled[rows[bad]] = True
         F_prev[live] = F_round
 
+    if P is not Q:
+        Q[:, free] = _out_of_frame(P, plan, free)
     finals = [abs(z) ** 2 for z in _row_overlaps(Q, plan, work)]
     return [RestartSummary(first + i, F, entanglement_from_fidelity(F) if F > 0 else math.inf,
                            bool(converged[i]), bool(stalled[i]), int(rounds_used[i]))
@@ -478,7 +494,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None, threads: int = 1) -> 
     threads = min(threads, len(starts))
     # Each share reuses one workspace, made here: made in a pool thread, it
     # came from that thread's malloc arena, which at times grew by a block's
-    # 4 MiB for good (K16) and raised the peak RSS.
+    # 4 MiB for good (|C| = 15) and raised the peak RSS.
     works = [_kernel_workspace(block, plan) for _ in range(threads)]
 
     def run_share(k: int) -> list[tuple[list[RestartSummary], np.ndarray]]:
@@ -537,7 +553,8 @@ def presample(g: Graph, count: int, seed: int = 0) -> PresampleReport:
     work = _kernel_workspace(chunk, plan)
     for start in range(0, count, chunk):
         m = min(chunk, count - start)
-        F = _batch_fidelity(_random_pairs(rng, m * n).reshape(m, n, 2), plan, work)
+        rows = _into_frame(_random_pairs(rng, m * n).reshape(m, n, 2), plan)
+        F = _batch_fidelity(rows, plan, work)
         min_F = min(min_F, float(F.min()))
         max_F = max(max_F, float(F.max()))
         counts += np.histogram(np.clip(F, 0.0, 1.0), bins=edges)[0]

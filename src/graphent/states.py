@@ -24,18 +24,28 @@ plain sums of 2**|C| terms; the reported overlaps use error-free summation
 (:func:`math.fsum`) because the entanglement figures are quoted to 1e-14.
 A row costs 3 * 2**|C| workspace elements, priced by :func:`_rows_within`
 alone: the search's blocks hold at most 2**21, presample's chunks 2**14.
+
+Local complementation is a local unitary, so the plan may sum out a larger
+independent set of an LC-equivalent graph: when the representative of
+:func:`graphent.graphs.lc_reduce` has one, the plan holds that graph's I, C
+and signs, plus a frame of 2x2 unitaries M_q built from the steps with
+``_LC_X_FACTOR`` and ``_LC_Z_FACTOR`` (K16 is then searched as a star, with
+|C| = 1 instead of 15).  A row phi of the planned graph enters the kernel as
+``psi_q = M_q phi_q`` (:func:`_into_frame`), and its overlap does not
+change; :func:`_row_overlaps`, and so every public overlap, maps its rows
+in.  A plan without a frame maps nothing.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, bits_of, max_independent_set
+from .graphs import Graph, _complement_at, bits_of, lc_reduce, max_independent_set
 
 NORM_TOL = 1e-12
 _SMALLEST_NORMAL = np.finfo(float).tiny
@@ -226,6 +236,14 @@ def graph_state_vector(g: Graph) -> StateVector:
     return StateVector(g.n, phase_signs(g) * 2.0 ** (-g.n / 2))
 
 
+_LC_X_FACTOR = np.array([[1, -1j], [-1j, 1]], dtype=np.complex128) / math.sqrt(2)
+_LC_Z_FACTOR = np.diag([cmath.exp(1j * math.pi / 4), cmath.exp(-1j * math.pi / 4)])
+
+# cos(pi k / 4) for k = 0..7, then the same over sqrt 2, each correctly rounded
+_H = math.sqrt(0.5)
+_EIGHTH_TURNS = np.array([[1, _H, 0, -_H, -1, -_H, 0, _H], [_H, .5, 0, -.5, -_H, -.5, 0, .5]])
+
+
 @dataclass(frozen=True, eq=False)
 class _EliminationPlan:
     """A graph's signs with a maximum independent set I summed out.
@@ -235,20 +253,27 @@ class _EliminationPlan:
     sign of the subgraph induced on C and ``s_i(x_C) = (-1)**(N(i).x_C)``.
     Both are int8 arrays of +-1 over the 2**|C| values of x_C, with
     ``rest[0]`` the most significant bit.
+
+    The signs are those of ``graph``: the planned graph itself, or, with a
+    ``frame``, an LC-equivalent representative of it.  Then qubit q's pair
+    phi_q of a row of the planned graph is the pair ``frame[q] @ phi_q`` of
+    the representative, and the overlaps of the two are equal.
     """
 
-    n: int
+    graph: Graph
     independent: tuple[int, ...]  # I, in increasing order
     rest: tuple[int, ...]  # C, in increasing order
     signs: np.ndarray  # sigma, (2**|C|,)
     parities: np.ndarray  # s_i for the i of ``independent`` in order, (|I|, 2**|C|)
+    frame: np.ndarray | None = None  # (n, 2, 2) unitaries, or None for the identity
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
 
-@lru_cache(maxsize=128)
-def _elimination_plan(g: Graph) -> _EliminationPlan:
-    """The plan of :func:`max_independent_set`'s set, cached per graph; it
-    holds (|I| + 1) 2**|C| <= 2**n bytes, no more."""
-    mis = max_independent_set(g)
+def _plan_of(g: Graph, mis: int) -> _EliminationPlan:
+    """The plan of g that sums out the independent set ``mis``."""
     if mis.bit_count() == g.n > 1:
         # Keep one qubit in C: with one term per row numpy runs the rows as one
         # loop, and a row's complex products then round by the batch size.
@@ -270,7 +295,90 @@ def _elimination_plan(g: Graph) -> _EliminationPlan:
     parities = np.array([1 - 2 * odd(g.rows[i]) for i in independent])
     signs.setflags(write=False)
     parities.setflags(write=False)
-    return _EliminationPlan(g.n, independent, rest, signs, parities)
+    return _EliminationPlan(g, independent, rest, signs, parities)
+
+
+def _lc_frame(g: Graph, steps) -> np.ndarray:
+    """(n, 2, 2) unitaries M_q with ``<G'| (M_0 x ... x M_(n-1)) = <G|`` for the
+    graph G' that local complementations at ``steps`` make of G.
+
+    Complementation at a is the X factor on a and the Z factor on each of
+    its d neighbours, which maps the graph state onto the next one times
+    ``exp(i pi (d - 1) / 4)``; qubit 0's unitary takes the phases back.
+    Every entry of such a product is 0, or exp(i pi k / 4) over 1 or sqrt 2,
+    so each is set to that value rounded once: the frame stays unitary to an
+    ulp however many steps made it.
+    """
+    frame = np.tile(np.eye(2, dtype=np.complex128), (g.n, 1, 1))
+    rows = list(g.rows)
+    eighths = 0
+    for a in steps:
+        frame[a] = _LC_X_FACTOR @ frame[a]
+        for b in bits_of(rows[a]):
+            frame[b] = _LC_Z_FACTOR @ frame[b]
+        eighths -= rows[a].bit_count() - 1
+        _complement_at(rows, a)
+    frame[0] *= cmath.exp(1j * math.pi / 4 * (eighths % 8))
+    k = np.rint(np.angle(frame) / (math.pi / 4)).astype(int) % 8
+    over_sqrt2 = (np.abs(frame) < 0.85).astype(int)
+    exact = np.zeros_like(frame)
+    exact.real = _EIGHTH_TURNS[over_sqrt2, k]
+    exact.imag = _EIGHTH_TURNS[over_sqrt2, (k - 2) % 8]
+    exact[np.abs(frame) < 0.35] = 0
+    exact.setflags(write=False)
+    return exact
+
+
+@lru_cache(maxsize=128)
+def _elimination_plan(g: Graph) -> _EliminationPlan:
+    """The one per-graph cache: the plan of :func:`max_independent_set`'s set,
+    or of :func:`lc_reduce`'s representative of g where that has a larger
+    maximum independent set, with the frame that maps g's rows onto it.  It
+    holds (|I| + 1) 2**|C| <= 2**n bytes, no more."""
+    mis = max_independent_set(g)
+    rows, steps = lc_reduce(g)
+    if steps:
+        rep = Graph(g.n, rows)
+        rep_mis = max_independent_set(rep)
+        if rep_mis.bit_count() > mis.bit_count():
+            return replace(_plan_of(rep, rep_mis), frame=_lc_frame(g, steps))
+    return _plan_of(g, mis)
+
+
+def _apply_frame(Q: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """(R, k, 2) rows with qubit q's pair multiplied by the 2x2 ``frame[q]``.
+
+    Real multiplies and adds only, each rounded once, so a row's bits do not
+    depend on the batch it is mapped in.  The parts are laid out (k, R), so
+    each step runs over the rows in one contiguous loop.
+    """
+    R, k = Q.shape[:2]
+    # re x, im x, re y, im y of every pair, each (k, R)
+    parts_in = np.ascontiguousarray(Q).view(np.float64).reshape(R, k, 4)
+    xr, xi, yr, yi = parts_in.transpose(2, 1, 0).copy()
+    # re and im of M00, M01, M10, M11 of every qubit, each (k, 1)
+    m = np.ascontiguousarray(frame).view(np.float64).reshape(k, 8).T[:, :, None]
+    out = np.empty((R, k, 2), dtype=np.complex128)
+    parts = out.view(np.float64).reshape(R, k, 4).transpose(2, 1, 0)
+    for row in (0, 1):
+        ar, ai, br, bi = m[4 * row:4 * row + 4]
+        parts[2 * row] = (ar * xr - ai * xi) + (br * yr - bi * yi)
+        parts[2 * row + 1] = (ar * xi + ai * xr) + (br * yi + bi * yr)
+    return out
+
+
+def _into_frame(Q: np.ndarray, plan: _EliminationPlan) -> np.ndarray:
+    """Rows of the planned graph as rows of the plan's signs: Q itself when
+    the plan has no frame."""
+    return Q if plan.frame is None else _apply_frame(Q, plan.frame)
+
+
+def _out_of_frame(P: np.ndarray, plan: _EliminationPlan, qubits) -> np.ndarray:
+    """(R, len(qubits), 2) pairs of those qubits of the plan-side rows P,
+    mapped back to the planned graph and normalised."""
+    back = plan.frame[qubits].conj().transpose(0, 2, 1)
+    pairs = _apply_frame(P[:, qubits], back)
+    return _normalized_rows(pairs.reshape(-1, 2)).reshape(pairs.shape)
 
 
 def _state_to_row(p: ProductState) -> np.ndarray:
@@ -412,12 +520,12 @@ def product_state_vector(p: ProductState) -> StateVector:
 
 
 def _row_overlaps(Q: np.ndarray, plan: _EliminationPlan, work=None) -> list[complex]:
-    """<G|phi> of every (n, 2) row of Q, each by error-free summation
-    (:func:`math.fsum`) of its 2**|C| eliminated terms."""
+    """<G|phi> of every (n, 2) row of Q, a row of the planned graph, each by
+    error-free summation (:func:`math.fsum`) of its 2**|C| eliminated terms."""
     work = work or _kernel_workspace(Q.shape[0], plan)
     scale = 2.0 ** (-plan.n / 2)
     return [complex(math.fsum(t.real), math.fsum(t.imag)) * scale
-            for t in _overlap_terms(Q, plan, work)]
+            for t in _overlap_terms(_into_frame(Q, plan), plan, work)]
 
 
 def overlap(g: Graph, p: ProductState) -> complex:
@@ -446,10 +554,6 @@ def partial_overlaps(g: Graph, p: ProductState, j: int) -> tuple[complex, comple
     rows[:, j] = np.eye(2)
     c0, c1 = _row_overlaps(rows, _elimination_plan(g))
     return c0, c1
-
-
-_LC_X_FACTOR = np.array([[1, -1j], [-1j, 1]], dtype=np.complex128) / math.sqrt(2)
-_LC_Z_FACTOR = np.diag([cmath.exp(1j * math.pi / 4), cmath.exp(-1j * math.pi / 4)])
 
 
 def _apply_single_qubit(amps: np.ndarray, gate: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -521,3 +522,46 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "snap", str(path))
         assert code == 2 and out == ""
         assert err.startswith("graphent: error: ") and "Traceback" not in err
+
+
+COMMANDS = ("compute", "bounds", "classify", "orbit", "presample", "table", "snap")
+
+
+class TestParserBuild:
+    # main builds the parser of the named command alone; what it prints for
+    # help and usage errors must be what the parser of every command prints
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["frobnicate"], [], ["-h", "compute"],
+        ["compute", "--family", "cycle:4", "surplus"], ["bounds", "--wat"],
+        *([command, "--help"] for command in COMMANDS),
+    ], ids=" ".join)
+    def test_prints_what_every_parser_prints(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert (code, out, err) == (exc.value.code, full.out, full.err)
+        assert out or err
+
+    def test_help_lists_every_command(self, capsys):
+        _, out, _ = run_cli(capsys, "--help")
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        assert all(f"    {command} " in out for command in COMMANDS)
+
+    def test_only_the_named_command_gets_a_parser(self, monkeypatch):
+        made = []
+        real = argparse.ArgumentParser.__init__
+
+        def init(self, **kwargs):
+            made.append(kwargs.get("prog"))
+            real(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+        cli.build_parser(["bounds", "--family", "cycle:4"])
+        assert made == ["graphent", "graphent bounds"]
+        made.clear()
+        cli.build_parser(["--help"])
+        assert made == ["graphent"]
+        made.clear()
+        cli.build_parser()
+        assert made == ["graphent"] + [f"graphent {command}" for command in COMMANDS]

@@ -19,6 +19,7 @@ from graphent import (
     initial_state_for_restart,
     measures_from_entanglement,
     optimize,
+    parse_graph6,
     partial_overlaps,
     presample,
     random_product_state,
@@ -26,7 +27,7 @@ from graphent import (
     snap_to_exact,
 )
 from graphent.catalog import PAIR_PHI
-from graphent.graphs import max_independent_set
+from graphent.graphs import lc_reduce, max_independent_set
 from graphent.optimize import SUCCESS_TOL, usable_cpu_count
 from graphent.states import (
     PAIR_MINUS,
@@ -39,6 +40,7 @@ from graphent.states import (
     _eliminated_signs,
     _elimination_plan,
     _gauge_fix_rows,
+    _into_frame,
     _kernel_workspace,
     _product_weights,
     _random_pairs,
@@ -57,6 +59,9 @@ optimize_mod = importlib.import_module("graphent.optimize")
 E_RING5 = 1 + math.log2(3) + math.log2(3 - math.sqrt(3))
 F_RING5 = (3 + math.sqrt(3)) / 36
 K2 = build_graph(2, [(0, 1)])
+# A dense 16-vertex graph that stays dense: n - |MIS| = 13, and the plan's
+# LC-reduced representative keeps |C| = 11 (K16's is a star, |C| = 1).
+DENSE16 = parse_graph6("O|xtJvYKx|jk~t~M|uf`z")
 
 
 def _bits(vertices) -> dict:
@@ -73,11 +78,12 @@ def _explicit_signs(g, vertices) -> np.ndarray:
                        np.zeros(1 << len(vertices), dtype=int))
 
 
-def _explicit_elimination(g, Q) -> SimpleNamespace:
+def _explicit_elimination(plan, Q) -> SimpleNamespace:
     """The plan's I, then C, sigma_C, each s_i and f_i, and the eliminated signs
     v = (sigma * f_i0) * f_i1 ... of the rows of Q, written out from their
-    definitions."""
-    e = SimpleNamespace(independent=_elimination_plan(g).independent)
+    definitions on the graph whose signs the plan holds."""
+    g = plan.graph
+    e = SimpleNamespace(independent=plan.independent)
     assert not any(g.has_edge(a, b) for a in e.independent for b in e.independent)
     e.rest = [v for v in range(g.n) if v not in e.independent]
     e.sigma = _explicit_signs(g, e.rest)
@@ -91,10 +97,10 @@ def _explicit_elimination(g, Q) -> SimpleNamespace:
     return e
 
 
-def _explicit_partials(g, Q, j):
+def _explicit_partials(plan, Q, j):
     """(R, 2) partials of coordinate j as the kernel sums them, each term and
     each contiguous sum written out here."""
-    e = _explicit_elimination(g, Q)
+    e = _explicit_elimination(plan, Q)
     if j in e.independent:
         t = _product_weights(Q[:, e.rest]) * e.sigma
         for i in e.independent:
@@ -106,7 +112,7 @@ def _explicit_partials(g, Q, j):
         mat = np.moveaxis(e.v.reshape(len(Q), 1 << p, 2, -1), 2, 1).reshape(len(Q), 2, -1)
         w = _product_weights(Q[:, e.rest], skip=p)
         sums = np.ascontiguousarray(w[:, None, :] * mat).sum(axis=2)
-    return sums * 2.0 ** (-g.n / 2)
+    return sums * 2.0 ** (-plan.n / 2)
 
 
 def small_cfg(**kw):
@@ -164,31 +170,44 @@ class TestCoordinateUpdate:
         assert rec.degenerate_steps >= 1
 
     def test_engine_matches_public_partials(self, rng):
-        # the batched engine and the fsum-based public op agree
+        # the batched engine and the fsum-based public op agree; the engine
+        # works in the plan's frame, where a pair of partials c' of qubit j
+        # is the pair c' M_j of the graph's own
         for _ in range(50):
             g = random_graph(rng)
             p = random_product_state(g.n, rng)
             j = int(rng.integers(0, g.n))
+            plan = _elimination_plan(g)
             row = np.array([[q.x, q.y] for q in p.qubits])[None, :, :]
-            hg = _batch_partials(row, _elimination_plan(g), j)
+            hg = _batch_partials(_into_frame(row, plan), plan, j)
+            if plan.frame is not None:
+                hg = hg @ plan.frame[j]
             c0, c1 = partial_overlaps(g, p, j)
             assert abs(hg[0, 0] - c0) <= 1e-12
             assert abs(hg[0, 1] - c1) <= 1e-12
 
     def test_elimination_plan(self, rng):
-        # I is the lowest maximum independent set (the edgeless graph keeps its
+        # the plan's graph is g, or lc_reduce's representative of g when that
+        # has a larger maximum independent set; I is the lowest maximum
+        # independent set of the plan's graph (the edgeless graph keeps its
         # last qubit in C), and sigma_C and every s_i equal their definitions;
         # the plan holds no more than the 2**n bytes of phase_signs
         cases = [random_graph(rng, n=n, p=rng.random()) for n in range(1, 17)]
         cases += [builtin_family("empty", 1), builtin_family("empty", 4)]
         for g in cases:
             plan = _elimination_plan(g)
-            if g.edge_count():
-                assert sum(1 << i for i in plan.independent) == max_independent_set(g)
+            h = plan.graph
+            if plan.frame is None:
+                assert h == g
+            else:
+                assert h.rows == lc_reduce(g)[0]
+                assert max_independent_set(h).bit_count() > max_independent_set(g).bit_count()
+            if h.edge_count():
+                assert sum(1 << i for i in plan.independent) == max_independent_set(h)
             else:
                 assert plan.rest == ((g.n - 1,) if g.n > 1 else ())
             assert sorted(plan.independent + plan.rest) == list(range(g.n))
-            e = _explicit_elimination(g, np.ones((1, g.n, 2)))
+            e = _explicit_elimination(plan, np.ones((1, g.n, 2)))
             assert np.array_equal(plan.signs, e.sigma)
             assert np.array_equal(plan.parities, [e.parity[i] for i in plan.independent])
             assert plan.signs.nbytes + plan.parities.nbytes <= 1 << g.n
@@ -209,7 +228,7 @@ class TestCoordinateUpdate:
             for rows in (9, 4, 1):
                 Q = rng.normal(size=(rows, g.n, 2)) + 1j * rng.normal(size=(rows, g.n, 2))
                 v = _eliminated_signs(Q, plan, work)
-                plains = [_explicit_partials(g, Q, j) for j in range(g.n)]
+                plains = [_explicit_partials(plan, Q, j) for j in range(g.n)]
                 for j, plain in enumerate(plains):
                     assert np.array_equal(_batch_partials(Q, plan, j, work, v), plain)
                     assert np.array_equal(_batch_partials(Q, plan, j, work), plain)
@@ -261,12 +280,13 @@ class TestCoordinateUpdate:
 
     def test_partials_match_dense_sums(self, rng):
         # unit rows: every partial within 1e-15 of the dense sum over the
-        # explicit (2, 2**(n-1)) sign matrix of coordinate j
+        # explicit (2, 2**(n-1)) sign matrix of coordinate j, for the graph
+        # whose signs the plan holds
         for n in range(1, 17):
             g = random_graph(rng, n=n, p=rng.random())
             plan = _elimination_plan(g)
             Q = _random_pairs(rng, 3 * n).reshape(3, n, 2)
-            signs = _explicit_signs(g, range(n)).reshape((2,) * n)
+            signs = _explicit_signs(plan.graph, range(n)).reshape((2,) * n)
             for j in range(n):
                 mat = np.moveaxis(signs, j, 0).reshape(2, -1) * 2.0 ** (-n / 2)
                 dense = (_product_weights(Q, skip=j)[:, None, :] * mat).sum(axis=2)
@@ -274,16 +294,19 @@ class TestCoordinateUpdate:
 
     def test_public_partials_match_explicit_matrix(self, rng):
         # partial_overlaps is the fsum over the eliminated terms with qubit j
-        # set to |0> and to |1>; it must equal that sum built explicitly here
+        # set to |0> and to |1>, both rows mapped into the plan's frame; it
+        # must equal that sum built explicitly here
         for n in (1, 2, 3, 6, 9, 12, 16):
             g = random_graph(rng, n=n)
+            plan = _elimination_plan(g)
             p = random_product_state(n, rng)
             scale = 2.0 ** (-n / 2)
             row = np.array([[q.x, q.y] for q in p.qubits])
             for j in range(n):
                 rows = np.stack([row, row])
                 rows[:, j] = np.eye(2)
-                e = _explicit_elimination(g, rows)
+                rows = _into_frame(rows, plan)
+                e = _explicit_elimination(plan, rows)
                 terms = _product_weights(rows[:, e.rest]) * e.v
                 expect = tuple(complex(math.fsum(t.real), math.fsum(t.imag)) * scale
                                for t in terms)
@@ -456,14 +479,22 @@ class TestOptimize:
         assert serial.best_state == threaded.best_state
 
     def test_block_is_priced_by_the_plan(self):
-        # a row costs 3 * 2**|C| elements: K16 keeps |C| = 15, the 16-ring 8
-        K16, C16 = builtin_family("complete", 16), builtin_family("cycle", 16)
-        assert optimize_mod._block_size(_elimination_plan(K16), 64, 1) == 21
-        assert optimize_mod._block_size(_elimination_plan(C16), 64, 1) == 64
-        # a thread's share must hold 2**17 elements: 170 rows of C16, 1 of K16
-        assert optimize_mod._block_size(_elimination_plan(C16), 64, 2) == 64
-        assert optimize_mod._block_size(_elimination_plan(C16), 1000, 2) == 500
-        assert optimize_mod._block_size(_elimination_plan(K16), 8, 2) == 4
+        # a row costs 3 * 2**|C| elements: DENSE16's plan keeps |C| = 11, the
+        # 16-ring's 8, and K16's reduced plan is a star's, with |C| = 1
+        C16, K16 = builtin_family("cycle", 16), builtin_family("complete", 16)
+        plans = {name: _elimination_plan(g) for name, g in
+                 (("dense", DENSE16), ("C16", C16), ("K16", K16))}
+        assert {name: len(plan.rest) for name, plan in plans.items()} == \
+            {"dense": 11, "C16": 8, "K16": 1}
+        assert optimize_mod._block_size(plans["dense"], 1000, 1) == 341
+        assert optimize_mod._block_size(plans["C16"], 64, 1) == 64
+        # a thread's share must hold 2**17 elements: 170 rows of C16, 21 of
+        # DENSE16 and 21,845 of K16
+        assert optimize_mod._block_size(plans["C16"], 64, 2) == 64
+        assert optimize_mod._block_size(plans["C16"], 1000, 2) == 500
+        assert optimize_mod._block_size(plans["dense"], 41, 2) == 41
+        assert optimize_mod._block_size(plans["dense"], 42, 2) == 21
+        assert optimize_mod._block_size(plans["K16"], 64, 2) == 64
 
     def test_small_search_starts_no_pool(self, monkeypatch):
         # 64 rows of the 6-ring hold 1,536 elements: too few to repay a thread
@@ -476,8 +507,9 @@ class TestOptimize:
         optimize(builtin_family("cycle", 6), small_cfg(restarts=64), threads=2)
 
     def test_caller_runs_a_share(self, pools):
-        # two blocks of 4 K16 rows: the calling thread runs one, one worker the other
-        optimize(builtin_family("complete", 16), small_cfg(restarts=8, rounds=1), threads=2)
+        # two blocks of 21 DENSE16 rows (|C| = 11): the calling thread runs
+        # one, one worker the other
+        optimize(DENSE16, small_cfg(restarts=42, rounds=1), threads=2)
         assert pools == [1]
 
     def test_more_blocks_than_threads(self, monkeypatch, pooled):
@@ -508,8 +540,9 @@ class TestOptimize:
 
     @pytest.mark.parametrize("mode", ["sequential", "per-round"])
     def test_block_budget_does_not_change_a_result(self, mode, monkeypatch):
-        # 16 rows of K12 fill buffers past numpy's 256 KiB temporary elision
-        g = builtin_family("complete", 12)
+        # 16 rows of DENSE16 (|C| = 11) fill buffers past numpy's 256 KiB
+        # temporary elision
+        g = DENSE16
         cfg = small_cfg(restarts=16, rounds=3, mode=mode)
         whole = optimize(g, cfg)
         monkeypatch.setattr(optimize_mod, "_ENGINE_BLOCK_ELEMS", 1)
@@ -701,7 +734,7 @@ class TestPresample:
         assert len(calls) == 24 and max(calls) == 21
 
     def test_chunk_budget_does_not_change_the_report(self, monkeypatch):
-        for g in (builtin_family("cycle", 16), builtin_family("complete", 12)):
+        for g in (builtin_family("cycle", 16), DENSE16):
             whole = presample(g, 300, seed=4)
             with monkeypatch.context() as m:
                 m.setattr(optimize_mod, "_PRESAMPLE_ELEMS", 1)
