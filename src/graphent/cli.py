@@ -51,11 +51,11 @@ def _seed(args) -> int:
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The ``graphent`` parser.  Every command is listed, but only the one that
-    ``argv`` names gets a parser and its arguments (each does when ``argv`` is
-    None): argparse spends about 0.1 ms on every parser it makes, which for
-    all seven commands was most of a one-graph call."""
-    chosen = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+    """The ``graphent`` parser.  When ``argv`` starts with a command, only that
+    command gets a parser and its arguments, and the usage line still lists
+    every command; otherwise (help, no command, an unknown one, or ``argv``
+    None) each command does.  argparse spends about 0.1 ms on every parser it
+    makes, which for all seven commands was most of a one-graph call."""
     defaults = OptimizerConfig()
 
     def fmt(p):
@@ -126,19 +126,20 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         ("snap", _cmd_snap, "snap a saved compute result to exact states", (fmt, snap)),
     )
 
-    def subparser(listed_only=False, **kwargs):
-        """argparse's parser class for the commands: one that is not run needs
-        only its name and help in the listing, and no parser."""
-        return None if listed_only else argparse.ArgumentParser(**kwargs)
-
+    names = [name for name, *_ in commands]
+    chosen = argv[0] if argv and argv[0] in names else None
     parser = argparse.ArgumentParser(
         prog="graphent",
         description="Entanglement of graph states: bounds, iteration, reports.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    # the metavar is the usage's list of commands, which argparse otherwise
+    # takes from the parsers made; only an argv with a command sets it, so the
+    # errors for a missing or unknown command still name the argument "command"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=chosen and "{" + ",".join(names) + "}")
     for name, run, help_, parts in commands:
-        p = sub.add_parser(name, help=help_, listed_only=chosen not in (None, name))
-        if p is not None:
+        if chosen in (None, name):
+            p = sub.add_parser(name, help=help_)
             p.set_defaults(run=run)
             for part in parts:
                 part(p)

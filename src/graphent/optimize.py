@@ -23,7 +23,7 @@ are drawn and pinned, and iterate there: the coordinate update and the
 residual |y* c0 - x* c1| are covariant under local unitaries, so every
 trajectory is the graph's own.  The free qubits are mapped back (M_q^dagger,
 then normalised) before the final rows are scored, through the path of
-:func:`fidelity`; pins stay as given.
+:func:`fidelity` on the graph's own plan; pins stay as given.
 
 Threads follow the work: the restarts split into one block per thread only
 while each thread's share holds at least 2**17 elements, because threads that
@@ -313,7 +313,8 @@ def _iterate_block(g: Graph, Q: np.ndarray, cfg: OptimizerConfig, free: list[int
     ``work`` is a :func:`_kernel_workspace` of at least the block's rows,
     made here when not passed.  With a frame in g's plan the rows iterate as
     rows of its representative, and the free qubits are mapped back to g
-    before the final rows are scored, through the path of :func:`fidelity`.
+    before the final rows are scored, through the path of :func:`fidelity`
+    on g's own plan.
     """
     R = Q.shape[0]
     plan = _elimination_plan(g)

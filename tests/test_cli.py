@@ -532,7 +532,7 @@ class TestParserBuild:
     # help and usage errors must be what the parser of every command prints
     @pytest.mark.parametrize("argv", [
         ["--help"], ["frobnicate"], [], ["-h", "compute"],
-        ["compute", "--family", "cycle:4", "surplus"], ["bounds", "--wat"],
+        ["compute", "--family", "cycle:4", "surplus"], ["bounds", "--wat"], ["--", "bounds"],
         *([command, "--help"] for command in COMMANDS),
     ], ids=" ".join)
     def test_prints_what_every_parser_prints(self, capsys, argv):
@@ -559,9 +559,8 @@ class TestParserBuild:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
         cli.build_parser(["bounds", "--family", "cycle:4"])
         assert made == ["graphent", "graphent bounds"]
-        made.clear()
-        cli.build_parser(["--help"])
-        assert made == ["graphent"]
-        made.clear()
-        cli.build_parser()
-        assert made == ["graphent"] + [f"graphent {command}" for command in COMMANDS]
+        every = ["graphent"] + [f"graphent {command}" for command in COMMANDS]
+        for argv in (["--help"], ["frobnicate"], [], ["--", "bounds"], None):
+            made.clear()
+            cli.build_parser(argv)
+            assert made == every

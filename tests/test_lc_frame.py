@@ -30,6 +30,7 @@ from graphent import (
     snap_to_exact,
 )
 from graphent.graphs import lc_reduce, local_complement, max_independent_set
+from graphent.optimize import SUCCESS_TOL
 from graphent.states import PAIR_MINUS, PAIR_ZERO, _elimination_plan
 from helpers import all_pairs, oracle_overlap, random_graph
 
@@ -209,6 +210,21 @@ class TestReducedSearch:
             two = optimize(g, cfg, threads=2)
             assert json.dumps(two.to_json_dict(g)) == json.dumps(one.to_json_dict(g))
         assert pooled == [1, 1]
+
+    def test_complete_graph_optimum_is_scored_on_its_own_plan(self):
+        # K_n is searched as a star, but scored on its own plan: F stays within
+        # 2e-15 of its maximum 1/2, E is no more than 6e-15 below its bound 1,
+        # and every converged restart is within half the success tolerance
+        # of the reported E.  Scored on the star, K16 reached 3.3e-15,
+        # 9.7e-15 and 9.3e-15.
+        for n in range(2, 17):
+            g = builtin_family("complete", n)
+            for seed in range(3):
+                res = optimize(g, OptimizerConfig(restarts=8, rounds=20, seed=seed))
+                assert abs(res.best_F - 0.5) <= 2e-15
+                assert res.entanglement >= 1 - 6e-15
+                assert all(abs(r.entanglement - res.entanglement) <= SUCCESS_TOL / 2
+                           for r in res.records if r.converged)
 
     def test_snap_of_a_reduced_search(self):
         # the state mapped back to K5 snaps to alphabet states at F = 1/2

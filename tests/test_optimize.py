@@ -293,20 +293,22 @@ class TestCoordinateUpdate:
                 assert np.abs(_batch_partials(Q, plan, j) - dense).max() <= 1e-15
 
     def test_public_partials_match_explicit_matrix(self, rng):
-        # partial_overlaps is the fsum over the eliminated terms with qubit j
-        # set to |0> and to |1>, both rows mapped into the plan's frame; it
-        # must equal that sum built explicitly here
-        for n in (1, 2, 3, 6, 9, 12, 16):
-            g = random_graph(rng, n=n)
+        # partial_overlaps is the fsum over the eliminated terms of g's own
+        # plan (a framed plan's ``own``) with qubit j set to |0> and to |1>;
+        # it must equal that sum built explicitly here
+        cases = [random_graph(rng, n=n) for n in (1, 2, 3, 6, 9, 12, 16)]
+        for g in cases + [builtin_family("complete", 6)]:
+            n = g.n
             plan = _elimination_plan(g)
+            own = plan.own or plan
+            assert own.graph == g and own.frame is None
             p = random_product_state(n, rng)
             scale = 2.0 ** (-n / 2)
             row = np.array([[q.x, q.y] for q in p.qubits])
             for j in range(n):
                 rows = np.stack([row, row])
                 rows[:, j] = np.eye(2)
-                rows = _into_frame(rows, plan)
-                e = _explicit_elimination(plan, rows)
+                e = _explicit_elimination(own, rows)
                 terms = _product_weights(rows[:, e.rest]) * e.v
                 expect = tuple(complex(math.fsum(t.real), math.fsum(t.imag)) * scale
                                for t in terms)
